@@ -1,5 +1,6 @@
 #include "io/xyz.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
@@ -8,6 +9,18 @@
 #include "util/string_util.hpp"
 
 namespace wsmd::io {
+
+namespace {
+
+/// Append `v` as std::ostream prints it at precision(10) — printf's %.10g.
+void append_g10(std::string& buf, double v) {
+  char text[32];
+  const auto res = std::to_chars(text, text + sizeof text, v,
+                                 std::chars_format::general, 10);
+  buf.append(text, res.ptr);
+}
+
+}  // namespace
 
 void write_xyz_frame(std::ostream& os, const Box& box,
                      const std::vector<Vec3d>& positions,
@@ -29,19 +42,40 @@ void write_xyz_frame(std::ostream& os, const Box& box,
     WSMD_REQUIRE(static_cast<std::size_t>(types[i]) < names.size(),
                  "atom type without a species name");
   }
-  const auto saved_precision = os.precision(10);  // cell and positions alike
-  os << positions.size() << '\n';
+  // One reused buffer, written out whenever it passes kChunk bytes.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::string buf;
+  buf.reserve(kChunk + 256);
+  buf += std::to_string(positions.size());
   const Vec3d len = box.lengths();
-  os << "Lattice=\"" << len.x << " 0 0 0 " << len.y << " 0 0 0 " << len.z
-     << "\" Properties=species:S:1:pos:R:3";
-  if (!comment.empty()) os << ' ' << comment;
-  os << '\n';
+  buf += "\nLattice=\"";
+  append_g10(buf, len.x);
+  buf += " 0 0 0 ";
+  append_g10(buf, len.y);
+  buf += " 0 0 0 ";
+  append_g10(buf, len.z);
+  buf += "\" Properties=species:S:1:pos:R:3";
+  if (!comment.empty()) {
+    buf += ' ';
+    buf += comment;
+  }
+  buf += '\n';
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const Vec3d& r = positions[i];
-    os << names[static_cast<std::size_t>(types[i])] << ' ' << r.x << ' '
-       << r.y << ' ' << r.z << '\n';
+    buf += names[static_cast<std::size_t>(types[i])];
+    buf += ' ';
+    append_g10(buf, r.x);
+    buf += ' ';
+    append_g10(buf, r.y);
+    buf += ' ';
+    append_g10(buf, r.z);
+    buf += '\n';
+    if (buf.size() >= kChunk) {
+      os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+      buf.clear();
+    }
   }
-  os.precision(saved_precision);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 void write_xyz_frame(std::ostream& os, const lattice::Structure& s,

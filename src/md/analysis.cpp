@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "md/cell_list.hpp"
 #include "util/error.hpp"
@@ -28,20 +29,28 @@ StructureAnalysis analyze_structure(const Box& box,
   out.centrosymmetry.assign(positions.size(), 0.0);
   out.coordination.assign(positions.size(), 0);
 
-  std::vector<Vec3d> bonds;
+  struct Bond {
+    Vec3d d;
+    double r2;
+  };
+  const auto max_bonds = static_cast<std::size_t>(neighbor_count);
+  std::vector<Bond> bonds;
+  bonds.reserve(4 * max_bonds);
+  // pair2[a * n + b] = |r_a + r_b|^2 for bonds a < b.
+  std::vector<double> pair2(max_bonds * max_bonds);
+  // The still-unpaired bonds, ascending.
+  std::vector<std::size_t> live(max_bonds);
   for (std::size_t i = 0; i < positions.size(); ++i) {
     bonds.clear();
-    cl.for_each_neighbor(i, [&](std::size_t, const Vec3d& d, double) {
-      bonds.push_back(d);
+    cl.for_each_neighbor(i, [&](std::size_t, const Vec3d& d, double r2) {
+      bonds.push_back({d, r2});
     });
     out.coordination[i] = static_cast<int>(bonds.size());
 
     // Keep the `neighbor_count` shortest bonds.
-    std::sort(bonds.begin(), bonds.end(), [](const Vec3d& a, const Vec3d& b) {
-      return norm2(a) < norm2(b);
-    });
-    const std::size_t n =
-        std::min(bonds.size(), static_cast<std::size_t>(neighbor_count));
+    std::sort(bonds.begin(), bonds.end(),
+              [](const Bond& a, const Bond& b) { return a.r2 < b.r2; });
+    const std::size_t n = std::min(bonds.size(), max_bonds);
     if (n < 2) {
       // Isolated atom: maximal asymmetry marker.
       out.centrosymmetry[i] = rcut * rcut;
@@ -50,24 +59,32 @@ StructureAnalysis analyze_structure(const Box& box,
     // Greedy opposite-bond pairing: repeatedly take the unused pair with
     // the smallest |r_a + r_b|^2. Exact for perfect lattices; a standard
     // approximation (LAMMPS compute centro/atom uses the same idea).
-    std::vector<bool> used(n, false);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        pair2[a * n + b] = norm2(bonds[a].d + bonds[b].d);
+      }
+    }
+    std::iota(live.begin(), live.begin() + n, std::size_t{0});
+    std::size_t live_count = n;
     double csp = 0.0;
     for (std::size_t pair = 0; pair < n / 2; ++pair) {
       double best = 1e300;
       std::size_t ba = 0, bb = 0;
-      for (std::size_t a = 0; a < n; ++a) {
-        if (used[a]) continue;
-        for (std::size_t b = a + 1; b < n; ++b) {
-          if (used[b]) continue;
-          const double v = norm2(bonds[a] + bonds[b]);
+      for (std::size_t p = 0; p < live_count; ++p) {
+        const double* row = &pair2[live[p] * n];
+        for (std::size_t q = p + 1; q < live_count; ++q) {
+          const double v = row[live[q]];
           if (v < best) {
             best = v;
-            ba = a;
-            bb = b;
+            ba = live[p];
+            bb = live[q];
           }
         }
       }
-      used[ba] = used[bb] = true;
+      live_count = static_cast<std::size_t>(
+          std::remove_if(live.begin(), live.begin() + live_count,
+                         [&](std::size_t b) { return b == ba || b == bb; }) -
+          live.begin());
       csp += best;
     }
     out.centrosymmetry[i] = csp;

@@ -13,6 +13,18 @@
 /// over the N nearest neighbors paired into most-nearly-opposite bonds.
 /// Perfect centrosymmetric lattices (FCC N=12, BCC N=8) give CSP ~ 0;
 /// boundaries, surfaces, and defects give large values.
+///
+/// The pairing is greedy: n/2 times, take the unpaired (a, b) with the
+/// smallest |r_a + r_b|^2, ties going to the first pair in lexicographic
+/// (a, b) order. The kernel computes the n(n-1)/2 sums once into a table
+/// and scans only the still-unpaired bonds, in ascending order; each
+/// round therefore compares the same values in the same order as
+/// recomputing every unused sum would, and picks the same pair. Bonds are
+/// ranked by std::sort on their |d|^2 as the cell list reports it; since
+/// std::sort is not stable, equal-length bonds keep whatever order the
+/// sort leaves them in, which depends on CellList::for_each_neighbor's
+/// visit order — so the output is bitwise reproducible only while that
+/// order holds.
 
 #include <vector>
 

@@ -16,20 +16,26 @@ std::vector<std::string> columns_for(const DefectProbe::Config& c) {
   return cols;
 }
 
+// Checked before the writer opens its file, so a bad config fails at
+// construction — before the run starts — and leaves nothing on disk.
+const DefectProbe::Config& validated(const DefectProbe::Config& c) {
+  WSMD_REQUIRE(c.csp_rcut > 0.0, "defects csp_rcut must be positive");
+  WSMD_REQUIRE(c.csp_neighbors >= 2 && c.csp_neighbors % 2 == 0,
+               "defects csp_neighbors must be even and >= 2 (12 FCC, 8 BCC), "
+               "got " << c.csp_neighbors);
+  WSMD_REQUIRE(c.csp_threshold > 0.0, "defects csp_threshold must be positive");
+  WSMD_REQUIRE(c.gb_axis >= -1 && c.gb_axis <= 2,
+               "defects gb_axis must be 0..2 (or -1 = off)");
+  WSMD_REQUIRE(c.surface_margin >= 0.0, "defects surface_margin must be >= 0");
+  return c;
+}
+
 }  // namespace
 
 DefectProbe::DefectProbe(const Config& config)
-    : config_(config),
+    : config_(validated(config)),
       path_(config.path),
-      writer_(config.path, config.format, columns_for(config)) {
-  WSMD_REQUIRE(config_.csp_rcut > 0.0, "defects csp_rcut must be positive");
-  WSMD_REQUIRE(config_.csp_threshold > 0.0,
-               "defects csp_threshold must be positive");
-  WSMD_REQUIRE(config_.gb_axis >= -1 && config_.gb_axis <= 2,
-               "defects gb_axis must be 0..2 (or -1 = off)");
-  WSMD_REQUIRE(config_.surface_margin >= 0.0,
-               "defects surface_margin must be >= 0");
-}
+      writer_(config.path, config.format, columns_for(config)) {}
 
 void DefectProbe::sample(const Frame& frame) {
   const auto& pos = *frame.positions;

@@ -42,6 +42,8 @@ void RdfProbe::sample(const Frame& frame) {
   const double inv_width = config_.bins / config_.rcut;
   md::CellList cl;
   cl.build(*frame.box, pos, config_.rcut);
+  // Bin counts are small integers, exact in a double, so the half-stencil
+  // sweep's pair order cannot change a bit of the histogram.
   cl.for_each_pair([&](std::size_t, std::size_t, const Vec3d&, double r2) {
     const auto bin = static_cast<std::size_t>(std::sqrt(r2) * inv_width);
     if (bin < histogram_.size()) histogram_[bin] += 1.0;

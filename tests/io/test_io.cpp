@@ -8,9 +8,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/thermo_log.hpp"
 #include "io/trajectory.hpp"
@@ -46,6 +49,57 @@ TEST(Xyz, SingleFrameRoundTrip) {
     EXPECT_NEAR(f.positions[i].z, s.positions[i].z, 1e-8);
   }
   EXPECT_NE(f.comment.find("Lattice="), std::string::npos);
+}
+
+std::string g10(double v) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%.10g", v);
+  return text;
+}
+
+TEST(Xyz, FrameBytesMatchPrintfG10) {
+  // The writer formats with std::to_chars; the bytes must be exactly what
+  // "%.10g" (an ostream at precision 10) prints, edge values included.
+  const std::vector<double> edge = {
+      0.0,    -0.0,   1e-5,         -1e-5,          1e-300, -1e-300,
+      1e15,   -1e15,  0.1,          -2.5,           1.0 / 3, 1e-4,
+      1e10,   -7.25,  9999999999.5, 123456789.0123, 123456.7890123,
+      -3.25e200};
+  std::vector<Vec3d> pos;
+  std::vector<int> types;
+  // Enough rows to cross the writer's internal flush threshold.
+  for (std::size_t i = 0; i < 4000; ++i) {
+    pos.push_back({edge[i % edge.size()], edge[(i / 3) % edge.size()],
+                   -edge[(i / 7) % edge.size()] / (1.0 + 1e-3 * i)});
+    types.push_back(static_cast<int>(i % 2));
+  }
+  const Box box({-1.5, 0.0, 2.0}, {10.123456789012, 7.0, 1e6 + 2.0});
+  std::ostringstream os;
+  io::write_xyz_frame(os, box, pos, types, {"Cu", "W"}, "step=7");
+
+  const Vec3d len = box.lengths();
+  std::string want = std::to_string(pos.size()) + "\nLattice=\"" +
+                     g10(len.x) + " 0 0 0 " + g10(len.y) + " 0 0 0 " +
+                     g10(len.z) +
+                     "\" Properties=species:S:1:pos:R:3 step=7\n";
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    want += (types[i] == 0 ? "Cu " : "W ") + g10(pos[i].x) + " " +
+            g10(pos[i].y) + " " + g10(pos[i].z) + "\n";
+  }
+  ASSERT_EQ(os.str(), want);
+
+  std::istringstream is(os.str());
+  const auto frames = io::read_xyz(is);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].size(), pos.size());
+  EXPECT_EQ(frames[0].comment.substr(0, 9), "Lattice=\"");
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    EXPECT_EQ(frames[0].species[i], types[i] == 0 ? "Cu" : "W");
+    for (std::size_t a = 0; a < 3; ++a) {
+      EXPECT_EQ(frames[0].positions[i][a],
+                std::strtod(g10(pos[i][a]).c_str(), nullptr));
+    }
+  }
 }
 
 TEST(Xyz, RejectsNonFinitePositions) {

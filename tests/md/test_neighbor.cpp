@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "lattice/lattice.hpp"
@@ -185,7 +188,10 @@ TEST(CellList, MatchesBruteForceOnRandomGasAllBoundaryKinds) {
         cl.for_each_neighbor(i,
                              [&](std::size_t j, const Vec3d& d, double r2) {
                                EXPECT_LT(r2, radius * radius);
-                               EXPECT_NEAR(norm2(d), r2, 1e-12);
+                               const Vec3d want =
+                                   box.minimum_image(pos[i], pos[j]);
+                               EXPECT_EQ(std::memcmp(&d, &want, sizeof d), 0);
+                               EXPECT_EQ(r2, norm2(want));
                                got.push_back(j);
                              });
         std::sort(got.begin(), got.end());
@@ -199,27 +205,104 @@ TEST(CellList, MatchesBruteForceOnRandomGasAllBoundaryKinds) {
   }
 }
 
-TEST(CellList, PairIterationVisitsEachUnorderedPairOnce) {
-  Rng rng(77);
-  const Box box({0, 0, 0}, {8, 8, 8}, {true, true, true});
-  const auto pos = random_gas(rng, box, 120);
-  const double radius = 2.0;
-  CellList cl;
-  cl.build(box, pos, radius);
-  std::set<std::pair<std::size_t, std::size_t>> pairs;
-  cl.for_each_pair([&](std::size_t i, std::size_t j, const Vec3d&, double) {
-    EXPECT_LT(i, j);
-    EXPECT_TRUE(pairs.emplace(i, j).second) << "duplicate pair " << i << ","
-                                            << j;
-  });
-  // Cross-check the pair count against the per-atom view (each unordered
-  // pair appears in exactly two neighbor lists).
-  std::size_t directed = 0;
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    cl.for_each_neighbor(i,
-                         [&](std::size_t, const Vec3d&, double) { ++directed; });
+TEST(CellList, NeighborVisitOrderIsCellAscendingThenIndex) {
+  // The centrosymmetry kernel's tie-breaking rides on this order, so it
+  // is pinned exactly. A 3x3x3-cell periodic box of unit cells: one atom
+  // at the centre of the middle cell, and in each of the 26 other cells
+  // one or two atoms just across the shared face/edge/corner (all within
+  // the radius). Atom ids are shuffled against the spatial layout.
+  const Box box({0, 0, 0}, {3, 3, 3}, {true, true, true});
+  const Vec3d centre{1.5, 1.5, 1.5};
+  std::vector<Vec3d> layout = {centre};
+  std::vector<std::size_t> cell_of = {13};
+  for (int dz = -1; dz <= 1; ++dz) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        if (dx == 0 && dy == 0 && dz == 0) continue;
+        const auto cell =
+            static_cast<std::size_t>(((dz + 1) * 3 + (dy + 1)) * 3 + dx + 1);
+        for (const double reach : {0.55, 0.52}) {
+          if (reach == 0.52 && (dx + dy + dz) % 2 == 0) continue;
+          layout.push_back(centre + reach * Vec3d{static_cast<double>(dx),
+                                                  static_cast<double>(dy),
+                                                  static_cast<double>(dz)});
+          cell_of.push_back(cell);
+        }
+      }
+    }
   }
-  EXPECT_EQ(directed, 2 * pairs.size());
+  std::vector<std::size_t> id(layout.size());
+  for (std::size_t k = 0; k < id.size(); ++k) id[k] = (k * 17) % id.size();
+  ASSERT_EQ(std::set<std::size_t>(id.begin(), id.end()).size(), id.size());
+  std::vector<Vec3d> pos(layout.size());
+  std::vector<std::pair<std::size_t, std::size_t>> expect;  // (cell, id)
+  for (std::size_t k = 0; k < layout.size(); ++k) {
+    pos[id[k]] = layout[k];
+    if (k > 0) expect.emplace_back(cell_of[k], id[k]);
+  }
+  std::sort(expect.begin(), expect.end());
+  CellList cl;
+  cl.build(box, pos, 1.0);
+  ASSERT_EQ(cl.cell_count(), 27u);
+  std::vector<std::size_t> got;
+  cl.for_each_neighbor(id[0], [&](std::size_t j, const Vec3d&, double) {
+    got.push_back(j);
+  });
+  ASSERT_EQ(got.size(), expect.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], expect[k].second) << "visit " << k;
+  }
+}
+
+TEST(CellList, PairIterationVisitsEachUnorderedPairOnce) {
+  // Every boundary kind, at radii giving >= 3, exactly 2 and exactly 1
+  // cell per axis (2 and 1 are the periodic-dedup regimes), on a random
+  // gas and on a perfect lattice (many exactly-zero displacement
+  // components: the reported d must carry +0 where Box::minimum_image
+  // does, never -0). Each pair must come once, as i < j, with d and r2
+  // bitwise equal to the brute-force minimum image rj - ri.
+  Rng rng(77);
+  const Box gas_box({0, 0, 0}, {8, 8, 8});
+  const auto gas = random_gas(rng, gas_box, 120);
+  const auto crystal =
+      lattice::replicate(lattice::UnitCell::fcc(2.0), 4, 4, 4).positions;
+  for (const auto* pos : {&gas, &crystal}) {
+    for (const double radius : {2.0, 3.0, 5.0}) {
+      for (const auto periodic :
+           {std::array<bool, 3>{false, false, false},
+            std::array<bool, 3>{true, true, true},
+            std::array<bool, 3>{true, false, true},
+            std::array<bool, 3>{false, true, false}}) {
+        const Box box({0, 0, 0}, {8, 8, 8}, periodic);
+        CellList cl;
+        cl.build(box, *pos, radius);
+        std::map<std::pair<std::size_t, std::size_t>, Vec3d> expect;
+        for (std::size_t i = 0; i < pos->size(); ++i) {
+          for (std::size_t j = i + 1; j < pos->size(); ++j) {
+            const Vec3d d = box.minimum_image((*pos)[i], (*pos)[j]);
+            if (norm2(d) < radius * radius) expect.emplace(std::pair{i, j}, d);
+          }
+        }
+        std::size_t visits = 0;
+        cl.for_each_pair(
+            [&](std::size_t i, std::size_t j, const Vec3d& d, double r2) {
+              ++visits;
+              ASSERT_LT(i, j);
+              const auto it = expect.find({i, j});
+              ASSERT_NE(it, expect.end())
+                  << "spurious or duplicate pair " << i << "," << j;
+              EXPECT_EQ(std::memcmp(&d, &it->second, sizeof d), 0)
+                  << "pair " << i << "," << j;
+              const double want_r2 = norm2(it->second);
+              EXPECT_EQ(std::memcmp(&r2, &want_r2, sizeof r2), 0);
+              expect.erase(it);
+            });
+        EXPECT_TRUE(expect.empty())
+            << expect.size() << " pairs missed at radius " << radius
+            << " after " << visits << " visits";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -268,6 +268,53 @@ TEST(Defects, PerfectCrystalHasNoDefects) {
   std::remove(c.path.c_str());
 }
 
+TEST(Defects, RejectsBadNeighborCountAtConstruction) {
+  DefectProbe::Config c;
+  c.csp_rcut = 4.0;
+  c.path = tmp_path("defects_bad_neighbors.csv");
+  for (const int n : {7, 0, -2, 1}) {
+    c.csp_neighbors = n;
+    EXPECT_THROW(DefectProbe probe(c), Error) << n;
+  }
+  std::remove(c.path.c_str());
+}
+
+TEST(ObserverBus, NonFinitePositionIsATypedErrorNamingTheAtom) {
+  // With health checks on warn and no trajectory writer, a NaN position
+  // reaches the probes first; the cell list must reject it rather than
+  // bin it (float->int of NaN is undefined behaviour).
+  ProbeSetConfig config;
+  config.probes = {"rdf", "defects"};
+  config.every = 1;
+  config.prefix = tmp_path("bus_nan");
+  const Material cu{3.615, 12};
+  auto bus = make_observer_bus(config, cu);
+  auto s = lattice::replicate(lattice::UnitCell::fcc(3.615), 4, 4, 4, 0,
+                              {true, true, true});
+  for (const double bad : {std::nan(""), -HUGE_VAL}) {
+    s.positions[17].y = bad;
+    const auto f = frame_of(0, 0.0, s.box, s.positions);
+    try {
+      bus->observe(f);
+      ADD_FAILURE() << "observe accepted a non-finite position";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("atom 17"), std::string::npos)
+          << e.what();
+    }
+  }
+  bus->finish();
+  // The defect probe on its own, too: it must not rely on the rdf probe
+  // failing first.
+  DefectProbe::Config c;
+  c.csp_rcut = effective_csp_rcut(cu);
+  c.path = config.prefix + ".defects.csv";
+  DefectProbe defects(c);
+  EXPECT_THROW(defects.sample(frame_of(0, 0.0, s.box, s.positions)), Error);
+  defects.finish();
+  std::remove((config.prefix + ".rdf.csv").c_str());
+  std::remove((config.prefix + ".defects.csv").c_str());
+}
+
 TEST(ObserverBus, DispatchesPerProbeCadenceAndFinalState) {
   ProbeSetConfig config;
   config.probes = {"msd", "defects"};
