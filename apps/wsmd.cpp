@@ -95,8 +95,8 @@ void print_usage(std::FILE* out) {
                "                    backends (shm|socket); same as\n"
                "                    dist.transport=T\n"
                "  --output-dir=DIR  prefix for relative output paths\n"
-               "  --print           parse and show the effective scenario,\n"
-               "                    do not run\n"
+               "  --print           parse and show the effective scenario\n"
+               "                    as its canonical deck, do not run\n"
                "  --quiet           suppress progress output\n"
                "  --trace[=PATH]    write a chrome://tracing trace-event\n"
                "                    JSON (default <name>.trace.json); same\n"
@@ -118,98 +118,23 @@ void print_usage(std::FILE* out) {
                "  --list-elements   show available Zhou parameter sets\n"
                "  --help            this text\n"
                "\n"
-               "deck keys: name element pair_style potential geometry\n"
-               "  scale replicate\n"
-               "  vacancy_fraction tilt_angle_deg gb_atoms backend dt\n"
-               "  swap_interval rescale_interval seed thermalize\n"
-               "  equilibrate ramp quench run xyz xyz_every thermo\n"
-               "  thermo_every thermo_format summary checkpoint.every\n"
-               "  checkpoint.path telemetry.trace telemetry.metrics\n"
-               "  telemetry.snapshot\n"
-               "distributed keys (ranks: backends only):\n"
-               "  dist.transport dist.timeout dist.kill_rank dist.kill_step\n"
-               "health keys (run-health watchdog; warn|abort|off):\n"
-               "  health.nan health.energy_drift health.energy_band\n"
-               "  health.temperature health.temperature_band health.stall\n"
-               "  health.stall_timeout health.thermo_tail health.bundle\n"
-               "  health.inject_nan\n"
-               "observable keys: observe.probes (rdf msd vacf defects)\n"
-               "  observe.every observe.<probe>_every observe.format\n"
-               "  observe.prefix observe.rdf_rcut observe.rdf_bins\n"
-               "  observe.csp_threshold observe.gb_axis\n");
+               "deck keys (each documented in src/scenario/scenario.hpp):\n");
+  std::size_t column = 0;
+  for (const auto& key : wsmd::scenario::deck_key_names()) {
+    if (column > 0 && column + key.size() >= 72) {
+      std::fprintf(out, "\n");
+      column = 0;
+    }
+    column += static_cast<std::size_t>(std::fprintf(out, "  %s", key.c_str()));
+  }
+  std::fprintf(out, "\n");
 }
 
+/// --print: the effective scenario as its canonical deck (runnable as is).
 void print_scenario(const wsmd::scenario::Scenario& sc) {
-  using wsmd::format;
-  std::printf("scenario %s:\n", sc.name.c_str());
-  std::printf("  element   = %s (%s, potential %s)\n", sc.element.c_str(),
-              sc.pair_style.c_str(), sc.potential.c_str());
-  std::printf("  geometry  = %s\n", sc.geometry.c_str());
-  if (sc.replicate[0] > 0) {
-    std::printf("  replicate = %d %d %d\n", sc.replicate[0], sc.replicate[1],
-                sc.replicate[2]);
-  } else if (sc.geometry != "grain_boundary") {
-    std::printf("  scale     = %d (paper slab / scale)\n", sc.scale);
-  }
-  if (sc.geometry == "grain_boundary") {
-    std::printf("  tilt      = %.4g deg, ~%zu atoms\n", sc.tilt_angle_deg,
-                sc.gb_target_atoms);
-  }
-  if (sc.vacancy_fraction > 0.0) {
-    std::printf("  vacancies = %.4g\n", sc.vacancy_fraction);
-  }
-  std::printf("  backend   = %s\n", sc.backend.c_str());
-  std::printf("  dt        = %.4g ps, seed = %llu\n", sc.dt,
-              static_cast<unsigned long long>(sc.seed));
-  if (sc.swap_interval > 0) {
-    std::printf("  atom swap every %d steps (wafer backends)\n",
-                sc.swap_interval);
-  }
-  std::printf("  schedule  (%ld steps total):\n", sc.total_steps());
-  for (const auto& st : sc.schedule) {
-    using Kind = wsmd::scenario::Stage::Kind;
-    switch (st.kind) {
-      case Kind::kThermalize:
-        std::printf("    thermalize  %.5g K\n", st.t0);
-        break;
-      case Kind::kRamp:
-        std::printf("    ramp        %.5g -> %.5g K, %ld steps\n", st.t0,
-                    st.t1, st.steps);
-        break;
-      case Kind::kRun:
-        std::printf("    run         %ld steps (NVE)\n", st.steps);
-        break;
-      default:
-        std::printf("    %-11s %.5g K, %ld steps\n", st.name(), st.t0,
-                    st.steps);
-        break;
-    }
-  }
-  if (!sc.xyz_path.empty()) {
-    std::printf("  xyz       = %s (every %ld steps)\n", sc.xyz_path.c_str(),
-                sc.xyz_every);
-  }
-  if (!sc.thermo_path.empty()) {
-    std::printf("  thermo    = %s (%s, every %ld steps)\n",
-                sc.thermo_path.c_str(), sc.thermo_format.c_str(),
-                sc.thermo_every);
-  }
-  if (!sc.summary_path.empty()) {
-    std::printf("  summary   = %s\n", sc.summary_path.c_str());
-  }
-  if (sc.checkpoint_every > 0) {
-    std::printf("  checkpoint= %s (every %ld steps)\n",
-                sc.checkpoint_path.c_str(), sc.checkpoint_every);
-  }
-  if (sc.observe.enabled()) {
-    std::printf("  observe   =");
-    for (const auto& kind : sc.observe.probes) {
-      std::printf(" %s(every %ld)", kind.c_str(),
-                  sc.observe.cadence_for(kind));
-    }
-    std::printf(" -> %s.<probe>.%s\n",
-                sc.observe.effective_prefix(sc.name).c_str(),
-                sc.observe.format.c_str());
+  std::printf("# scenario %s: %ld steps\n", sc.name.c_str(), sc.total_steps());
+  for (const auto& e : wsmd::scenario::deck_from_scenario(sc).entries) {
+    std::printf("%s = %s\n", e.key.c_str(), e.value.c_str());
   }
 }
 

@@ -20,6 +20,17 @@ void append_g10(std::string& buf, double v) {
   buf.append(text, res.ptr);
 }
 
+/// True when `v`'s %.10g text reads back as a finite number: ten digits
+/// round DBL_MAX itself up to 1.797693135e+308, which overflows.
+bool g10_reads_back(double v) {
+  if (!std::isfinite(v)) return false;
+  if (std::fabs(v) < 1e308) return true;
+  std::string text;
+  append_g10(text, v);
+  double back = 0.0;
+  return parse_double_strict(text, back);
+}
+
 }  // namespace
 
 void write_xyz_frame(std::ostream& os, const Box& box,
@@ -34,11 +45,12 @@ void write_xyz_frame(std::ostream& os, const Box& box,
   // truncated frame on disk that the reader (rightly) rejects wholesale.
   for (std::size_t i = 0; i < positions.size(); ++i) {
     const Vec3d& r = positions[i];
-    WSMD_REQUIRE(std::isfinite(r.x) && std::isfinite(r.y) &&
-                     std::isfinite(r.z),
-                 "non-finite position for atom " << i << " (" << r.x << ", "
-                                                 << r.y << ", " << r.z
-                                                 << ")");
+    WSMD_REQUIRE(g10_reads_back(r.x) && g10_reads_back(r.y) &&
+                     g10_reads_back(r.z),
+                 "position of atom " << i << " (" << r.x << ", " << r.y
+                                     << ", " << r.z
+                                     << ") is non-finite or prints past "
+                                        "DBL_MAX");
     WSMD_REQUIRE(static_cast<std::size_t>(types[i]) < names.size(),
                  "atom type without a species name");
   }

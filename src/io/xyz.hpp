@@ -21,7 +21,8 @@
 namespace wsmd::io {
 
 /// Write one extended-XYZ frame from raw state. `names` maps type index ->
-/// chemical symbol. Throws on non-finite coordinates.
+/// chemical symbol. Throws on non-finite coordinates and on coordinates
+/// whose %.10g text rounds past DBL_MAX (it would not read back).
 void write_xyz_frame(std::ostream& os, const Box& box,
                      const std::vector<Vec3d>& positions,
                      const std::vector<int>& types,

@@ -159,18 +159,29 @@ std::string checkpoint_file_for(const std::string& pattern, long step) {
 }
 
 /// Validate a checkpoint against the scenario it is about to resume: same
-/// structure (atom types), same box, the same schedule stage-for-stage as
-/// the one the checkpoint was written under (the cursor is meaningless
-/// against a different schedule — and a swapped-in stage of equal length
-/// would pass any step-count check while silently changing the physics),
-/// and a cursor consistent with that schedule. Catches resumes with
-/// incompatible overrides before any state is touched.
+/// pinned keys, same structure (atom types), same box, the same schedule
+/// stage-for-stage as the one the checkpoint was written under (the cursor
+/// is meaningless against a different schedule — and a swapped-in stage of
+/// equal length would pass any step-count check while silently changing
+/// the physics), and a cursor consistent with that schedule. Catches
+/// resumes with incompatible overrides before any state is touched.
 void validate_resume(const Scenario& sc, const lattice::Structure& structure,
                      const io::CheckpointData& ckpt) {
-  WSMD_REQUIRE(ckpt.element == sc.element,
-               "resume: checkpoint element '"
-                   << ckpt.element << "' does not match scenario element '"
-                   << sc.element << "'");
+  const Scenario saved = scenario_from_deck(
+      deck_from_entries(ckpt.deck, "<checkpoint deck>"));
+  // The observe.* analysis keys are pinned while probe accumulators travel
+  // in the checkpoint: merging samples taken under other parameters
+  // corrupts silently (e.g. an RDF histogram binned over two ranges). A
+  // scenario with observables disabled outright (C++ API — deck syntax
+  // cannot express it) takes the warn-and-discard path in the runner.
+  const bool probe_state = !ckpt.probes.empty() && sc.observe.enabled();
+  for (const auto& key : resume_pinned_keys(probe_state)) {
+    const std::string was = deck_value(saved, key);
+    const std::string now = deck_value(sc, key);
+    WSMD_REQUIRE(was == now, "resume: " << key << " changed (" << was
+                                        << " -> " << now
+                                        << ") — only output keys may change");
+  }
   WSMD_REQUIRE(ckpt.types == structure.types,
                "resume: checkpoint atom set ("
                    << ckpt.types.size()
@@ -186,11 +197,6 @@ void validate_resume(const Scenario& sc, const lattice::Structure& structure,
                  "structure (axis "
                      << a << ")");
   }
-  // Rebuild the schedule the checkpoint was written under from its
-  // embedded deck and require the resumed scenario's schedule to match it
-  // stage for stage.
-  const Scenario saved = scenario_from_deck(
-      deck_from_entries(ckpt.deck, "<checkpoint deck>"));
   WSMD_REQUIRE(saved.schedule.size() == sc.schedule.size(),
                "resume: schedule overrides are not supported (checkpoint "
                "was written under "
@@ -204,52 +210,6 @@ void validate_resume(const Scenario& sc, const lattice::Structure& structure,
                  "resume: schedule overrides are not supported (stage "
                      << i << " changed from '" << a.name() << "' to '"
                      << b.name() << "' parameters)");
-  }
-  WSMD_REQUIRE(saved.pair_style == sc.pair_style,
-               "resume: pair_style changed (" << saved.pair_style << " -> "
-                                              << sc.pair_style
-                                              << ") — the interaction "
-                                                 "family is part of the "
-                                                 "trajectory");
-  WSMD_REQUIRE(saved.potential == sc.potential,
-               "resume: potential= changed ("
-                   << saved.potential << " -> " << sc.potential
-                   << ") — the evaluation path (profile tables vs analytic "
-                      "form) is part of the trajectory, not an output "
-                      "option");
-  WSMD_REQUIRE(saved.rescale_interval == sc.rescale_interval,
-               "resume: rescale_interval changed ("
-                   << saved.rescale_interval << " -> " << sc.rescale_interval
-                   << ") — the thermostat cadence is part of the schedule");
-  WSMD_REQUIRE(saved.dt == sc.dt,
-               "resume: dt changed (" << saved.dt << " -> " << sc.dt
-                                      << ") — the timestep is part of the "
-                                         "trajectory, not an output option");
-  WSMD_REQUIRE(saved.swap_interval == sc.swap_interval,
-               "resume: swap_interval changed ("
-                   << saved.swap_interval << " -> " << sc.swap_interval
-                   << ") — the atom-swap cadence changes the wafer "
-                      "trajectory");
-  if (!ckpt.probes.empty() && sc.observe.enabled()) {
-    // The saved accumulators were measured under the checkpointed
-    // analysis parameters; merging them with samples taken under
-    // different ones corrupts silently (e.g. an RDF histogram binned
-    // over two different ranges). Output keys (observe.prefix /
-    // observe.format) remain free, and a scenario with observables
-    // disabled outright (C++ API — deck syntax cannot express it) takes
-    // the warn-and-discard path in the runner instead.
-    const auto& a = saved.observe;
-    const auto& b = sc.observe;
-    WSMD_REQUIRE(
-        a.probes == b.probes && a.every == b.every &&
-            a.rdf_every == b.rdf_every && a.msd_every == b.msd_every &&
-            a.vacf_every == b.vacf_every &&
-            a.defects_every == b.defects_every &&
-            a.rdf_rcut == b.rdf_rcut && a.rdf_bins == b.rdf_bins &&
-            a.csp_threshold == b.csp_threshold && a.gb_axis == b.gb_axis,
-        "resume: observe.* analysis parameters changed — the checkpointed "
-        "probe accumulators were measured under the saved settings (only "
-        "observe.prefix / observe.format may change on resume)");
   }
   WSMD_REQUIRE(ckpt.stage_index < sc.schedule.size(),
                "resume: checkpoint stage cursor "

@@ -1,9 +1,13 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "dist/distributed_engine.hpp"
 #include "eam/lennard_jones.hpp"
@@ -28,20 +32,6 @@ namespace {
   std::abort();  // unreachable
 }
 
-double parse_double_token(const Deck& deck, const DeckEntry& e,
-                          const std::string& token) {
-  double v = 0.0;
-  if (!parse_double_strict(token, v)) bad_entry(deck, e, "not a number");
-  return v;
-}
-
-long parse_long_token(const Deck& deck, const DeckEntry& e,
-                      const std::string& token) {
-  long v = 0;
-  if (!parse_long_strict(token, v)) bad_entry(deck, e, "not an integer");
-  return v;
-}
-
 /// Split the value and require exactly `n` whitespace-separated tokens.
 std::vector<std::string> tokens_n(const Deck& deck, const DeckEntry& e,
                                   std::size_t n) {
@@ -54,260 +44,394 @@ std::vector<std::string> tokens_n(const Deck& deck, const DeckEntry& e,
   return t;
 }
 
-double one_double(const Deck& deck, const DeckEntry& e) {
-  return parse_double_token(deck, e, tokens_n(deck, e, 1)[0]);
-}
-
-long one_long(const Deck& deck, const DeckEntry& e) {
-  return parse_long_token(deck, e, tokens_n(deck, e, 1)[0]);
-}
-
-long nonneg_steps(const Deck& deck, const DeckEntry& e, long v) {
-  if (v < 0) bad_entry(deck, e, "step count must be >= 0");
+/// Every real-valued key is finite: NaN slips through any `v <= 0` check.
+double parse_double_token(const Deck& deck, const DeckEntry& e,
+                          const std::string& token) {
+  double v = 0.0;
+  if (!parse_double_strict(token, v) || !std::isfinite(v)) {
+    bad_entry(deck, e, "not a finite number");
+  }
   return v;
 }
 
-double nonneg_temp(const Deck& deck, const DeckEntry& e, double t) {
-  if (t < 0.0) bad_entry(deck, e, "temperature must be >= 0 K");
-  return t;
+long parse_long_token(const Deck& deck, const DeckEntry& e,
+                      const std::string& token) {
+  long v = 0;
+  if (!parse_long_strict(token, v)) bad_entry(deck, e, "not an integer");
+  return v;
 }
 
-}  // namespace
+/// %.17g round-trips FP64 exactly through the strict parser.
+std::string num(double v) { return format("%.17g", v); }
 
-const char* Stage::name() const {
-  switch (kind) {
-    case Kind::kThermalize: return "thermalize";
-    case Kind::kEquilibrate: return "equilibrate";
-    case Kind::kRamp: return "ramp";
-    case Kind::kQuench: return "quench";
-    case Kind::kRun: return "run";
+// ---- the thermostat schedule: keys that accumulate stages ----------------
+
+/// Schedule keys, indexed like Stage::Kind; `nve` is an alias of `run`.
+constexpr const char* kStageKeys[] = {"thermalize", "equilibrate", "ramp",
+                                      "quench",     "run",         "nve"};
+
+/// The Stage::Kind of a schedule key, or -1 for any other key.
+long stage_index(const std::string& key) {
+  const auto it = std::find(std::begin(kStageKeys), std::end(kStageKeys), key);
+  if (it == std::end(kStageKeys)) return -1;
+  return std::min<long>(it - std::begin(kStageKeys), 4);
+}
+
+/// `thermalize = T`, `equilibrate|quench = T STEPS`, `ramp = T0 T1 STEPS`,
+/// `run|nve = STEPS`.
+Stage parse_stage(const Deck& deck, const DeckEntry& e) {
+  Stage st;
+  st.kind = static_cast<Stage::Kind>(stage_index(e.key));
+  const std::size_t temps = st.kind == Stage::Kind::kRamp  ? 2
+                            : st.kind == Stage::Kind::kRun ? 0
+                                                           : 1;
+  const bool stepped = st.kind != Stage::Kind::kThermalize;
+  const auto t = tokens_n(deck, e, temps + (stepped ? 1 : 0));
+  for (std::size_t i = 0; i < temps; ++i) {
+    const double v = parse_double_token(deck, e, t[i]);
+    if (v < 0.0) bad_entry(deck, e, "temperature must be >= 0 K");
+    (i == 0 ? st.t0 : st.t1) = v;
   }
-  return "?";
+  if (stepped) {
+    if (temps == 1) st.t1 = st.t0;  // equilibrate, quench: a fixed target
+    st.steps = parse_long_token(deck, e, t[temps]);
+    if (st.steps < 0) bad_entry(deck, e, "step count must be >= 0");
+  }
+  return st;
 }
 
-BackendSpec parse_backend(const std::string& spec) {
-  BackendSpec bs;
-  if (spec == "reference" || starts_with(spec, "reference:")) {
+std::string stage_value(const Stage& st) {
+  switch (st.kind) {
+    case Stage::Kind::kThermalize: return num(st.t0);
+    case Stage::Kind::kEquilibrate:
+    case Stage::Kind::kQuench:
+      return num(st.t0) + " " + std::to_string(st.steps);
+    case Stage::Kind::kRamp:
+      return num(st.t0) + " " + num(st.t1) + " " + std::to_string(st.steps);
+    case Stage::Kind::kRun: return std::to_string(st.steps);
+  }
+  return "";
+}
+
+// ---- backend specs: name[:M[xN]] ------------------------------------------
+
+/// A positive count at `p` (strtol syntax); returns its end, or nullptr.
+const char* read_count(const char* p, long& out) {
+  char* end = nullptr;
+  out = std::strtol(p, &end, 10);
+  return end == p || out < 1 || out > INT_MAX ? nullptr : end;
+}
+
+/// Parse `spec` into `bs`; returns why it is malformed ("" when it is not).
+/// Plain `sharded` means auto threads and plain `ranks` means ranks:2.
+std::string read_backend(const std::string& spec, BackendSpec& bs) {
+  const std::size_t colon = spec.find(':');
+  const std::string name = spec.substr(0, colon);
+  if (name == "reference") {
     bs.backend = engine::Backend::kReference;
-    if (starts_with(spec, "reference:")) {
-      const std::string n = spec.substr(10);
-      char* end = nullptr;
-      const long threads = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end && *end == '\0' && threads > 0,
-                   "bad reference thread count '" << n << "'");
-      bs.threads = static_cast<int>(threads);
-    }
-    return bs;
-  }
-  if (spec == "wafer") {
-    bs.backend = engine::Backend::kWafer;
-    return bs;
-  }
-  if (spec == "sharded" || starts_with(spec, "sharded:")) {
+  } else if (name == "sharded") {
     bs.backend = engine::Backend::kShardedWafer;
-    bs.threads = 0;  // auto
-    if (starts_with(spec, "sharded:")) {
-      const std::string n = spec.substr(8);
-      char* end = nullptr;
-      const long threads = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end && *end == '\0' && threads > 0,
-                   "bad sharded thread count '" << n << "'");
-      bs.threads = static_cast<int>(threads);
-    }
-    return bs;
-  }
-  if (spec == "ranks" || starts_with(spec, "ranks:")) {
-    // ranks:M forks M rank processes; ranks:MxN additionally runs N shard
-    // threads inside each rank. Plain "ranks" means ranks:2.
+    bs.threads = 0;
+  } else if (name == "ranks") {
     bs.backend = engine::Backend::kRanks;
-    bs.threads = 1;
-    if (starts_with(spec, "ranks:")) {
-      const std::string n = spec.substr(6);
-      char* end = nullptr;
-      const long ranks = std::strtol(n.c_str(), &end, 10);
-      WSMD_REQUIRE(end != nullptr && end != n.c_str() && ranks >= 1 &&
-                       ranks <= dist::kMaxRanks,
-                   "bad rank count '" << n << "' (want 1.."
-                                      << dist::kMaxRanks
-                                      << ", e.g. ranks:4 or ranks:4x2)");
-      bs.ranks = static_cast<int>(ranks);
-      if (*end == 'x') {
-        const char* t = end + 1;
-        const long threads = std::strtol(t, &end, 10);
-        WSMD_REQUIRE(end != nullptr && end != t && *end == '\0' &&
-                         threads > 0,
-                     "bad per-rank thread count '" << n
-                                                   << "' (want ranks:MxN)");
-        bs.threads = static_cast<int>(threads);
-      } else {
-        WSMD_REQUIRE(*end == '\0', "bad rank spec '"
-                                       << n
-                                       << "' (want ranks:M or ranks:MxN)");
-      }
-    }
-    return bs;
+  } else if (spec == "wafer") {
+    bs.backend = engine::Backend::kWafer;
+  } else {
+    return "unknown backend '" + spec +
+           "' (want reference|reference:N|wafer|sharded|sharded:N|ranks:M|"
+           "ranks:MxN)";
   }
-  WSMD_REQUIRE(false,
-               "unknown backend '"
-                   << spec
-                   << "' (want reference|reference:N|wafer|sharded|"
-                      "sharded:N|ranks:M|ranks:MxN)");
-  return bs;  // unreachable
+  if (colon == std::string::npos) return "";
+  // reference:N and sharded:N count threads; ranks:M[xN] counts rank
+  // processes, then optionally shard threads inside each rank.
+  const bool ranks = bs.backend == engine::Backend::kRanks;
+  long m = 0, n = 0;
+  const char* end = read_count(spec.c_str() + colon + 1, m);
+  if (end != nullptr && ranks && *end == 'x') end = read_count(end + 1, n);
+  if (end == nullptr || *end != '\0' || (ranks && m > dist::kMaxRanks)) {
+    return format("bad count in '%s' (want reference:N, sharded:N, ranks:M "
+                  "or ranks:MxN; N >= 1, M in 1..%d)",
+                  spec.c_str(), dist::kMaxRanks);
+  }
+  (ranks ? bs.ranks : bs.threads) = static_cast<int>(m);
+  if (n > 0) bs.threads = static_cast<int>(n);
+  return "";
 }
 
-long Scenario::total_steps() const {
-  long total = 0;
-  for (const auto& st : schedule) total += st.steps;
-  return total;
+// ---- the deck-key table -----------------------------------------------------
+
+/// Where a key's value lives in a Scenario (one alternative per field type).
+using Ref = std::variant<int*, long*, unsigned long*, unsigned long long*,
+                         double*, std::string*, telemetry::HealthAction*,
+                         std::vector<std::string>*, std::array<int, 3>*>;
+
+enum Kind {
+  kInt,        ///< one integer in `domain` ("lo.." or "lo..hi")
+  kReal,       ///< one finite number
+  kPositive,   ///< one finite number > 0
+  kFraction,   ///< one finite number in [0, 1)
+  kChoice,     ///< one of `domain` ("a|b|c"); an integer field stores its index
+  kText,       ///< free text: a name, a path
+  kTriple,     ///< three integers in `domain`
+  kProbeList,  ///< distinct probe kinds
+  kBackend,    ///< a parse_backend spec
+  kSchedule,   ///< not a key: where the canonical deck writes the stages
+};
+
+enum Flag : unsigned {
+  kIfSet = 1,       ///< the canonical deck writes it only when not default
+  kPinned = 2,      ///< part of the trajectory: a resume may not change it
+  kProbeState = 4,  ///< pinned while the checkpoint carries probe state
+  kNonEmpty = 8,    ///< kText: "" is rejected
+  kOff = 16,        ///< the value `off` restores the default
+};
+
+/// What must hold for a key to mean anything. The parser rejects a key
+/// whose requirement fails, at its deck line; the canonical deck leaves
+/// such a key out. kWith/kWithout only keep the canonical deck to what a
+/// run uses (xyz_every without xyz is inert, not wrong).
+enum Need {
+  kNone,
+  kProbes,         ///< observe.probes is set
+  kProbe,          ///< probe `arg` is enabled
+  kDetector,       ///< health detector key `arg` is not off
+  kRanks,          ///< a ranks: backend
+  kGrainBoundary,  ///< geometry = grain_boundary
+  kCrystal,        ///< any other geometry
+  kPartner,        ///< key `arg` is in the deck too
+  kWith,           ///< written only when key `arg` is set; never rejected
+  kWithout,        ///< written only when key `arg` is unset; never rejected
+};
+
+struct Requirement {
+  Need need = kNone;
+  const char* arg = nullptr;
+};
+
+/// One deck key. Its default is the field's value in a default-constructed
+/// Scenario.
+struct Key {
+  const char* name;
+  Kind kind;
+  Ref (*field)(Scenario&) = nullptr;
+  const char* domain = "";
+  unsigned flags = 0;
+  Requirement needs[2] = {};
+};
+
+#define F(member) [](Scenario& s) -> Ref { return &s.member; }
+constexpr const char* kActions = "off|warn|abort";  // HealthAction order
+static_assert(static_cast<int>(telemetry::HealthAction::kAbort) == 2);
+
+/// Every deck key, in canonical-deck order. scenario.hpp documents each.
+constexpr Key kKeys[] = {
+    {"name", kText, F(name)},
+    {"element", kText, F(element), "", kPinned},
+    {"pair_style", kChoice, F(pair_style), "eam|lj", kPinned},
+    {"potential", kChoice, F(potential), "tabulated|analytic", kPinned},
+    {"geometry", kChoice, F(geometry), "slab|bulk|grain_boundary"},
+    {"tilt_angle_deg", kReal, F(tilt_angle_deg), "", 0, {{kGrainBoundary}}},
+    {"gb_atoms", kInt, F(gb_target_atoms), "16..", 0, {{kGrainBoundary}}},
+    {"replicate", kTriple, F(replicate), "1..", kIfSet, {{kCrystal}}},
+    {"scale", kInt, F(scale), "1..", 0,
+     {{kCrystal}, {kWithout, "replicate"}}},
+    {"vacancy_fraction", kFraction, F(vacancy_fraction), "", kIfSet,
+     {{kCrystal}}},
+    {"backend", kBackend, F(backend)},
+    {"dt", kPositive, F(dt), "", kPinned},
+    {"swap_interval", kInt, F(swap_interval), "0..", kPinned},
+    {"rescale_interval", kInt, F(rescale_interval), "1..", kPinned},
+    {"seed", kInt, F(seed), "0.."},
+    // Written whenever it applies: a checkpoint pins its run's carrier.
+    {"dist.transport", kChoice, F(dist_transport), "shm|socket", 0,
+     {{kRanks}}},
+    {"dist.timeout", kPositive, F(dist_timeout_s), "", kIfSet, {{kRanks}}},
+    {"dist.kill_rank", kInt, F(dist_kill_rank), "0..", kIfSet,
+     {{kRanks}, {kPartner, "dist.kill_step"}}},
+    {"dist.kill_step", kInt, F(dist_kill_step), "1..", kIfSet,
+     {{kRanks}, {kPartner, "dist.kill_rank"}}},
+    {nullptr, kSchedule},
+    {"xyz", kText, F(xyz_path), "", kIfSet},
+    {"xyz_every", kInt, F(xyz_every), "1..", 0, {{kWith, "xyz"}}},
+    {"thermo", kText, F(thermo_path), "", kIfSet},
+    {"thermo_every", kInt, F(thermo_every), "1..", 0, {{kWith, "thermo"}}},
+    {"thermo_format", kChoice, F(thermo_format), "csv|jsonl", 0,
+     {{kWith, "thermo"}}},
+    {"summary", kText, F(summary_path), "", kIfSet},
+    {"observe.probes", kProbeList, F(observe.probes), "",
+     kIfSet | kProbeState},
+    {"observe.every", kInt, F(observe.every), "1..", kProbeState,
+     {{kProbes}}},
+    {"observe.rdf_every", kInt, F(observe.rdf_every), "1..",
+     kIfSet | kProbeState, {{kProbe, "rdf"}}},
+    {"observe.msd_every", kInt, F(observe.msd_every), "1..",
+     kIfSet | kProbeState, {{kProbe, "msd"}}},
+    {"observe.vacf_every", kInt, F(observe.vacf_every), "1..",
+     kIfSet | kProbeState, {{kProbe, "vacf"}}},
+    {"observe.defects_every", kInt, F(observe.defects_every), "1..",
+     kIfSet | kProbeState, {{kProbe, "defects"}}},
+    {"observe.format", kChoice, F(observe.format), "csv|jsonl", 0,
+     {{kProbes}}},
+    {"observe.prefix", kText, F(observe.prefix), "", kIfSet | kNonEmpty,
+     {{kProbes}}},
+    {"observe.rdf_rcut", kPositive, F(observe.rdf_rcut), "",
+     kIfSet | kProbeState, {{kProbe, "rdf"}}},
+    {"observe.rdf_bins", kInt, F(observe.rdf_bins), "2..100000", kProbeState,
+     {{kProbe, "rdf"}}},
+    {"observe.csp_threshold", kPositive, F(observe.csp_threshold), "",
+     kProbeState, {{kProbe, "defects"}}},
+    {"observe.gb_axis", kChoice, F(observe.gb_axis), "x|y|z",
+     kIfSet | kProbeState, {{kProbe, "defects"}, {kGrainBoundary}}},
+    {"checkpoint.every", kInt, F(checkpoint_every), "0..", kIfSet},
+    {"checkpoint.path", kText, F(checkpoint_path), "", kNonEmpty,
+     {{kPartner, "checkpoint.every"}}},
+    {"telemetry.trace", kText, F(telemetry_trace_path), "",
+     kIfSet | kNonEmpty | kOff},
+    {"telemetry.metrics", kText, F(telemetry_metrics_path), "",
+     kIfSet | kNonEmpty | kOff},
+    {"telemetry.snapshot", kPositive, F(telemetry_snapshot_s), "",
+     kIfSet | kOff},
+    {"health.nan", kChoice, F(health.nan), kActions, kIfSet},
+    {"health.energy_drift", kChoice, F(health.energy_drift), kActions, kIfSet},
+    {"health.energy_band", kPositive, F(health.energy_band), "", kIfSet,
+     {{kDetector, "health.energy_drift"}}},
+    {"health.temperature", kChoice, F(health.temperature), kActions, kIfSet},
+    {"health.temperature_band", kPositive, F(health.temperature_band_K), "",
+     kIfSet, {{kDetector, "health.temperature"}}},
+    {"health.stall", kChoice, F(health.stall), kActions, kIfSet},
+    {"health.stall_timeout", kPositive, F(health.stall_timeout_s), "", kIfSet,
+     {{kDetector, "health.stall"}}},
+    {"health.thermo_tail", kInt, F(health.thermo_tail), "1..100000", kIfSet},
+    {"health.bundle", kText, F(health.bundle_dir), "", kIfSet | kNonEmpty},
+    {"health.inject_nan", kInt, F(health.inject_nan_step), "0..", kIfSet,
+     {{kDetector, "health.nan"}}},
+};
+#undef F
+
+/// The row of `name`, or nullptr (schedule keys have no row).
+const Key* find_key(const std::string& name) {
+  for (const Key& k : kKeys) {
+    if (k.name != nullptr && name == k.name) return &k;
+  }
+  return nullptr;
 }
 
-bool is_schedule_key(const std::string& key) {
-  return key == "thermalize" || key == "equilibrate" || key == "ramp" ||
-         key == "quench" || key == "run" || key == "nve";
+const Scenario kDefaults;
+
+/// `k`'s field in `sc`, for reading: the one accessor serves both the
+/// parser (which writes) and the emitter (which reads a const Scenario).
+Ref read(const Key& k, const Scenario& sc) {
+  return k.field(const_cast<Scenario&>(sc));
 }
 
-Scenario scenario_from_deck(const Deck& deck) {
-  Scenario sc;
-  // observe.* entries are remembered so cross-key validation below can
-  // point at the offending deck line, not just the file.
-  std::map<std::string, const DeckEntry*> observe_seen;
-  // health.* entries likewise, so band-without-detector errors blame the
-  // right line; snapshot/metrics interplay needs the same treatment.
-  std::map<std::string, const DeckEntry*> health_seen;
-  // dist.* entries: they only mean anything on a ranks: backend, and the
-  // kill drill keys come in pairs — blame the offending line.
-  std::map<std::string, const DeckEntry*> dist_seen;
-  const DeckEntry* snapshot_entry = nullptr;
-  bool metrics_off = false;  ///< telemetry.metrics explicitly disabled
-  const DeckEntry* checkpoint_path_entry = nullptr;
-  // Schedule keys accumulate stages in deck order, so plain last-wins
-  // cannot apply to them. Instead, whole-schedule replacement: if any
-  // schedule key arrives as an override (line == 0, appended by the CLI),
-  // the overrides define the entire schedule and the file's stages are
-  // dropped — `wsmd deck run=50` means "run 50 NVE steps", not "append
-  // another 50 to whatever the deck did".
-  const bool overrides_define_schedule = [&deck] {
-    for (const auto& e : deck.entries) {
-      if (e.line == 0 && is_schedule_key(e.key)) return true;
+/// The canonical text of `k` in `sc`: what the canonical deck writes.
+std::string text(const Key& k, const Scenario& sc) {
+  return std::visit(
+      [&k](const auto* p) -> std::string {
+        using T = std::remove_cv_t<std::remove_pointer_t<decltype(p)>>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return *p;
+        } else if constexpr (std::is_same_v<T, double>) {
+          return num(*p);
+        } else if constexpr (std::is_same_v<T, std::array<int, 3>>) {
+          return format("%d %d %d", (*p)[0], (*p)[1], (*p)[2]);
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          std::string out;
+          for (const auto& s : *p) out += (out.empty() ? "" : " ") + s;
+          return out;
+        } else if (k.kind == kChoice) {  // an index; -1 (unset) reads ""
+          const auto names = split(k.domain, '|');
+          const auto i = static_cast<std::size_t>(*p);
+          return i < names.size() ? names[i] : "";
+        } else if constexpr (std::is_integral_v<T>) {
+          return std::to_string(*p);
+        }
+        return "";
+      },
+      read(k, sc));
+}
+
+bool is_set(const Key& k, const Scenario& sc) {
+  return text(k, sc) != text(k, kDefaults);
+}
+
+/// Parse `e` by its key's kind and store it in `sc`.
+void store(const Deck& deck, const DeckEntry& e, const Key& k, Scenario& sc) {
+  const Ref field = k.field(sc);
+  if (k.flags & kOff && e.value == "off") {
+    std::visit(
+        [&k](auto* p) { *p = *std::get<decltype(p)>(read(k, kDefaults)); },
+        field);
+    return;
+  }
+  // Integers (counts and choice indices) go into whatever integer type the
+  // field has, if they fit it.
+  const auto store_integer = [&](long v) {
+    std::visit(
+        [&](auto* p) {
+          using T = std::remove_pointer_t<decltype(p)>;
+          if constexpr (std::is_integral_v<T>) {
+            if (!std::in_range<T>(v)) bad_entry(deck, e, "out of range");
+          }
+          if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+            *p = static_cast<T>(v);
+          }
+        },
+        field);
+  };
+  long lo = 0, hi = LONG_MAX;
+  std::sscanf(k.domain, "%ld..%ld", &lo, &hi);
+  const std::string range = hi == LONG_MAX
+                                ? format("want an integer >= %ld", lo)
+                                : format("want an integer in %ld..%ld", lo, hi);
+  const auto one = [&] { return tokens_n(deck, e, 1)[0]; };
+  switch (k.kind) {
+    case kInt: {
+      const long v = parse_long_token(deck, e, one());
+      if (v < lo || v > hi) bad_entry(deck, e, range);
+      store_integer(v);
+      return;
     }
-    return false;
-  }();
-  for (const auto& e : deck.entries) {
-    if (overrides_define_schedule && e.line > 0 && is_schedule_key(e.key)) {
-      continue;
+    case kReal:
+    case kPositive:
+    case kFraction: {
+      const double v = parse_double_token(deck, e, one());
+      if (k.kind == kPositive && v <= 0.0) bad_entry(deck, e, "want > 0");
+      if (k.kind == kFraction && (v < 0.0 || v >= 1.0)) {
+        bad_entry(deck, e, "want [0, 1)");
+      }
+      *std::get<double*>(field) = v;
+      return;
     }
-    if (e.key == "name") {
-      sc.name = e.value;
-    } else if (e.key == "element") {
-      sc.element = e.value;
-    } else if (e.key == "pair_style") {
-      if (e.value != "eam" && e.value != "lj") {
-        bad_entry(deck, e, "want eam|lj");
+    case kChoice: {
+      const auto names = split(k.domain, '|');
+      const auto it = std::find(names.begin(), names.end(), e.value);
+      if (it == names.end()) bad_entry(deck, e, format("want %s", k.domain));
+      if (auto* s = std::get_if<std::string*>(&field)) {
+        **s = e.value;
+      } else {
+        store_integer(it - names.begin());
       }
-      sc.pair_style = e.value;
-    } else if (e.key == "potential") {
-      if (e.value != "tabulated" && e.value != "analytic") {
-        bad_entry(deck, e, "want tabulated|analytic");
+      return;
+    }
+    case kText:
+      if (k.flags & kNonEmpty && e.value.empty()) {
+        bad_entry(deck, e, "must not be empty");
       }
-      sc.potential = e.value;
-    } else if (e.key == "geometry") {
-      if (e.value != "slab" && e.value != "bulk" &&
-          e.value != "grain_boundary") {
-        bad_entry(deck, e, "want slab|bulk|grain_boundary");
-      }
-      sc.geometry = e.value;
-    } else if (e.key == "scale") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "scale must be >= 1");
-      sc.scale = static_cast<int>(v);
-    } else if (e.key == "replicate") {
+      *std::get<std::string*>(field) = e.value;
+      return;
+    case kTriple: {
       const auto t = tokens_n(deck, e, 3);
       for (std::size_t a = 0; a < 3; ++a) {
         const long v = parse_long_token(deck, e, t[a]);
-        if (v < 1) bad_entry(deck, e, "replication counts must be >= 1");
-        sc.replicate[a] = static_cast<int>(v);
+        if (v < lo || v > INT_MAX) bad_entry(deck, e, range);
+        (*std::get<std::array<int, 3>*>(field))[a] = static_cast<int>(v);
       }
-    } else if (e.key == "vacancy_fraction") {
-      const double v = one_double(deck, e);
-      if (v < 0.0 || v >= 1.0) bad_entry(deck, e, "want [0, 1)");
-      sc.vacancy_fraction = v;
-    } else if (e.key == "tilt_angle_deg") {
-      sc.tilt_angle_deg = one_double(deck, e);
-    } else if (e.key == "gb_atoms") {
-      const long v = one_long(deck, e);
-      if (v < 16) bad_entry(deck, e, "gb_atoms must be >= 16");
-      sc.gb_target_atoms = static_cast<std::size_t>(v);
-    } else if (e.key == "backend") {
-      parse_backend(e.value);  // validate eagerly
-      sc.backend = e.value;
-    } else if (e.key == "dt") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "dt must be > 0");
-      sc.dt = v;
-    } else if (e.key == "swap_interval") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "swap_interval must be >= 0");
-      sc.swap_interval = static_cast<int>(v);
-    } else if (e.key == "rescale_interval") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "rescale_interval must be >= 1");
-      sc.rescale_interval = static_cast<int>(v);
-    } else if (e.key == "seed") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "seed must be >= 0");
-      sc.seed = static_cast<std::uint64_t>(v);
-    } else if (e.key == "thermalize") {
-      Stage st;
-      st.kind = Stage::Kind::kThermalize;
-      st.t0 = nonneg_temp(deck, e, one_double(deck, e));
-      sc.schedule.push_back(st);
-    } else if (e.key == "equilibrate" || e.key == "quench") {
-      const auto t = tokens_n(deck, e, 2);
-      Stage st;
-      st.kind = e.key == "equilibrate" ? Stage::Kind::kEquilibrate
-                                       : Stage::Kind::kQuench;
-      st.t0 = st.t1 = nonneg_temp(deck, e, parse_double_token(deck, e, t[0]));
-      st.steps = nonneg_steps(deck, e, parse_long_token(deck, e, t[1]));
-      sc.schedule.push_back(st);
-    } else if (e.key == "ramp") {
-      const auto t = tokens_n(deck, e, 3);
-      Stage st;
-      st.kind = Stage::Kind::kRamp;
-      st.t0 = nonneg_temp(deck, e, parse_double_token(deck, e, t[0]));
-      st.t1 = nonneg_temp(deck, e, parse_double_token(deck, e, t[1]));
-      st.steps = nonneg_steps(deck, e, parse_long_token(deck, e, t[2]));
-      sc.schedule.push_back(st);
-    } else if (e.key == "run" || e.key == "nve") {
-      Stage st;
-      st.kind = Stage::Kind::kRun;
-      st.steps = nonneg_steps(deck, e, one_long(deck, e));
-      sc.schedule.push_back(st);
-    } else if (e.key == "xyz") {
-      sc.xyz_path = e.value;
-    } else if (e.key == "xyz_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "xyz_every must be >= 1");
-      sc.xyz_every = v;
-    } else if (e.key == "thermo") {
-      sc.thermo_path = e.value;
-    } else if (e.key == "thermo_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "thermo_every must be >= 1");
-      sc.thermo_every = v;
-    } else if (e.key == "thermo_format") {
-      if (e.value != "csv" && e.value != "jsonl") {
-        bad_entry(deck, e, "want csv|jsonl");
-      }
-      sc.thermo_format = e.value;
-    } else if (e.key == "summary") {
-      sc.summary_path = e.value;
-    } else if (e.key == "observe.probes") {
-      const auto t = split_whitespace(e.value);
-      if (t.empty()) {
-        bad_entry(deck, e, "expected at least one of rdf|msd|vacf|defects");
-      }
+      return;
+    }
+    case kProbeList: {
       std::vector<std::string> probes;
-      for (const auto& kind : t) {
+      for (const auto& kind : split_whitespace(e.value)) {
         if (!obs::is_probe_kind(kind)) {
           bad_entry(deck, e,
                     "unknown probe '" + kind + "' (want rdf|msd|vacf|defects)");
@@ -317,145 +441,150 @@ Scenario scenario_from_deck(const Deck& deck) {
         }
         probes.push_back(kind);
       }
-      sc.observe.probes = std::move(probes);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.every" || e.key == "observe.rdf_every" ||
-               e.key == "observe.msd_every" ||
-               e.key == "observe.vacf_every" ||
-               e.key == "observe.defects_every") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "sampling cadence must be >= 1");
-      if (e.key == "observe.every") sc.observe.every = v;
-      else if (e.key == "observe.rdf_every") sc.observe.rdf_every = v;
-      else if (e.key == "observe.msd_every") sc.observe.msd_every = v;
-      else if (e.key == "observe.vacf_every") sc.observe.vacf_every = v;
-      else sc.observe.defects_every = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.format") {
-      if (e.value != "csv" && e.value != "jsonl") {
-        bad_entry(deck, e, "want csv|jsonl");
+      if (probes.empty()) {
+        bad_entry(deck, e, "expected at least one of rdf|msd|vacf|defects");
       }
-      sc.observe.format = e.value;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.prefix") {
-      if (e.value.empty()) bad_entry(deck, e, "prefix must not be empty");
-      sc.observe.prefix = e.value;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.rdf_rcut") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "rdf rcut must be > 0 A");
-      sc.observe.rdf_rcut = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.rdf_bins") {
-      const long v = one_long(deck, e);
-      if (v < 2 || v > 100000) bad_entry(deck, e, "want 2..100000 bins");
-      sc.observe.rdf_bins = static_cast<int>(v);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.csp_threshold") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "csp threshold must be > 0 A^2");
-      sc.observe.csp_threshold = v;
-      observe_seen[e.key] = &e;
-    } else if (e.key == "observe.gb_axis") {
-      if (e.value != "x" && e.value != "y" && e.value != "z") {
-        bad_entry(deck, e, "want x|y|z");
+      *std::get<std::vector<std::string>*>(field) = std::move(probes);
+      return;
+    }
+    case kBackend: {
+      BackendSpec bs;
+      const std::string why = read_backend(e.value, bs);
+      if (!why.empty()) bad_entry(deck, e, why);
+      *std::get<std::string*>(field) = e.value;
+      return;
+    }
+    case kSchedule:
+      return;
+  }
+}
+
+/// Why `r` fails in `sc`, or "" when it holds. `seen` is the parser's last
+/// deck entry per key; without it (emitting) a partner counts when set.
+std::string unmet(const Requirement& r, const Scenario& sc,
+                  const std::vector<const DeckEntry*>* seen) {
+  const std::string arg = r.arg != nullptr ? r.arg : "";
+  const Key* other = r.arg != nullptr ? find_key(arg) : nullptr;
+  const bool gb = sc.geometry == "grain_boundary";
+  switch (r.need) {
+    case kNone: return "";
+    case kProbes:
+      return sc.observe.enabled() ? "" : "observe.* keys need observe.probes";
+    case kProbe:
+      return sc.observe.has(arg) ? "" : "requires the " + arg + " probe";
+    case kDetector:
+      if (text(*other, sc) != "off") return "";
+      return "requires " + arg + " = warn|abort";
+    case kRanks:
+      if (parse_backend(sc.backend).backend == engine::Backend::kRanks) {
+        return "";
       }
-      sc.observe.gb_axis = e.value == "x" ? 0 : (e.value == "y" ? 1 : 2);
-      observe_seen[e.key] = &e;
-    } else if (e.key == "checkpoint.every") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "checkpoint cadence must be >= 0 (0 = off)");
-      sc.checkpoint_every = v;
-    } else if (e.key == "checkpoint.path") {
-      if (e.value.empty()) {
-        bad_entry(deck, e, "checkpoint path must not be empty");
+      return "dist.* keys need backend = ranks:M (got '" + sc.backend + "')";
+    case kGrainBoundary: return gb ? "" : "requires geometry=grain_boundary";
+    case kCrystal: return gb ? "does not apply to geometry=grain_boundary" : "";
+    case kPartner:
+      if (seen ? !(*seen)[other - kKeys] : !is_set(*other, sc)) {
+        return "needs " + arg;
       }
-      checkpoint_path_entry = &e;
-      sc.checkpoint_path = e.value;
-    } else if (e.key == "telemetry.trace" || e.key == "telemetry.metrics") {
-      // `auto` resolves to a name-derived default after the loop (the name
-      // key may appear later in the deck); `off` is the explicit disable
-      // for resume-time overrides.
-      if (e.value.empty()) bad_entry(deck, e, "want PATH|auto|off");
-      std::string& path = e.key == "telemetry.trace"
-                              ? sc.telemetry_trace_path
-                              : sc.telemetry_metrics_path;
-      path = e.value == "off" ? "" : e.value;
-      if (e.key == "telemetry.metrics") metrics_off = e.value == "off";
-    } else if (e.key == "telemetry.snapshot") {
-      if (e.value == "off") {
-        sc.telemetry_snapshot_s = 0.0;
-        snapshot_entry = nullptr;
-      } else {
-        const double v = one_double(deck, e);
-        if (v <= 0.0) {
-          bad_entry(deck, e, "snapshot cadence must be > 0 seconds (or off)");
-        }
-        sc.telemetry_snapshot_s = v;
-        snapshot_entry = &e;
-      }
-    } else if (e.key == "dist.timeout") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "timeout must be > 0 seconds");
-      sc.dist_timeout_s = v;
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.kill_rank") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "kill rank must be >= 0");
-      sc.dist_kill_rank = static_cast<int>(v);
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.kill_step") {
-      const long v = one_long(deck, e);
-      if (v < 1) bad_entry(deck, e, "kill step must be >= 1 (1-based)");
-      sc.dist_kill_step = v;
-      dist_seen[e.key] = &e;
-    } else if (e.key == "dist.transport") {
-      if (e.value != "shm" && e.value != "socket") {
-        bad_entry(deck, e, "want shm|socket");
-      }
-      sc.dist_transport = e.value;
-      dist_seen[e.key] = &e;
-    } else if (e.key == "health.nan" || e.key == "health.energy_drift" ||
-               e.key == "health.temperature" || e.key == "health.stall") {
-      telemetry::HealthAction action = telemetry::HealthAction::kOff;
-      if (!telemetry::parse_health_action(e.value, &action)) {
-        bad_entry(deck, e, "want off|warn|abort");
-      }
-      if (e.key == "health.nan") sc.health.nan = action;
-      else if (e.key == "health.energy_drift") sc.health.energy_drift = action;
-      else if (e.key == "health.temperature") sc.health.temperature = action;
-      else sc.health.stall = action;
-    } else if (e.key == "health.energy_band") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "energy band must be > 0 (relative)");
-      sc.health.energy_band = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.temperature_band") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "temperature band must be > 0 K");
-      sc.health.temperature_band_K = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.stall_timeout") {
-      const double v = one_double(deck, e);
-      if (v <= 0.0) bad_entry(deck, e, "stall timeout must be > 0 seconds");
-      sc.health.stall_timeout_s = v;
-      health_seen[e.key] = &e;
-    } else if (e.key == "health.thermo_tail") {
-      const long v = one_long(deck, e);
-      if (v < 1 || v > 100000) bad_entry(deck, e, "want 1..100000 rows");
-      sc.health.thermo_tail = v;
-    } else if (e.key == "health.bundle") {
-      if (e.value.empty()) bad_entry(deck, e, "bundle path must not be empty");
-      sc.health.bundle_dir = e.value;
-    } else if (e.key == "health.inject_nan") {
-      const long v = one_long(deck, e);
-      if (v < 0) bad_entry(deck, e, "inject step must be >= 0 (0 = off)");
-      sc.health.inject_nan_step = v;
-      health_seen[e.key] = &e;
+      return "";
+    case kWith: return seen || is_set(*other, sc) ? "" : "needs " + arg;
+    case kWithout: return seen || !is_set(*other, sc) ? "" : "conflicts";
+  }
+  return "";
+}
+
+bool emitted(const Key& k, const Scenario& sc) {
+  for (const Requirement& r : k.needs) {
+    if (!unmet(r, sc, nullptr).empty()) return false;
+  }
+  return !(k.flags & kIfSet) || is_set(k, sc);
+}
+
+}  // namespace
+
+const char* Stage::name() const { return kStageKeys[static_cast<int>(kind)]; }
+
+BackendSpec parse_backend(const std::string& spec) {
+  BackendSpec bs;
+  const std::string why = read_backend(spec, bs);
+  WSMD_REQUIRE(why.empty(), why);
+  return bs;
+}
+
+long Scenario::total_steps() const {
+  long total = 0;
+  for (const auto& st : schedule) total += st.steps;
+  return total;
+}
+
+std::vector<std::string> deck_key_names() {
+  std::vector<std::string> names;
+  for (const Key& k : kKeys) {
+    if (k.kind == kSchedule) {
+      names.insert(names.end(), std::begin(kStageKeys), std::end(kStageKeys));
     } else {
-      bad_entry(deck, e, "unknown key");
+      names.emplace_back(k.name);
     }
   }
+  return names;
+}
+
+std::string deck_value(const Scenario& sc, const std::string& key) {
+  const Key* k = find_key(key);
+  WSMD_REQUIRE(k != nullptr, "no deck key '" << key << "' with one value");
+  return text(*k, sc);
+}
+
+std::vector<std::string> resume_pinned_keys(bool probe_state) {
+  std::vector<std::string> names;
+  for (const Key& k : kKeys) {
+    if (k.flags & kPinned || (probe_state && k.flags & kProbeState)) {
+      names.emplace_back(k.name);
+    }
+  }
+  return names;
+}
+
+Scenario scenario_from_deck(const Deck& deck) {
+  Scenario sc;
+  // The last entry of each key, so cross-key rules blame its deck line.
+  std::vector<const DeckEntry*> seen(std::size(kKeys), nullptr);
+  // Schedule keys accumulate stages in deck order, so plain last-wins
+  // cannot apply to them. Instead, whole-schedule replacement: if any
+  // schedule key arrives as an override (line == 0, appended by the CLI),
+  // the overrides define the entire schedule and the file's stages are
+  // dropped — `wsmd deck run=50` means "run 50 NVE steps", not "append
+  // another 50 to whatever the deck did".
+  const bool overrides_define_schedule =
+      std::any_of(deck.entries.begin(), deck.entries.end(),
+                  [](const DeckEntry& e) {
+                    return e.line == 0 && stage_index(e.key) >= 0;
+                  });
+  for (const auto& e : deck.entries) {
+    if (stage_index(e.key) >= 0) {
+      if (!overrides_define_schedule || e.line == 0) {
+        sc.schedule.push_back(parse_stage(deck, e));
+      }
+      continue;
+    }
+    const Key* k = find_key(e.key);
+    if (k == nullptr) bad_entry(deck, e, "unknown key");
+    store(deck, e, *k, sc);
+    seen[k - kKeys] = &e;
+  }
+  // Data-shaped cross-key rules: a key whose requirement fails is dead
+  // configuration (or half of a pair) and is rejected at its deck line.
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i] == nullptr) continue;
+    for (const Requirement& r : kKeys[i].needs) {
+      const std::string why = unmet(r, sc, &seen);
+      if (!why.empty()) bad_entry(deck, *seen[i], why);
+    }
+  }
+  const auto seen_entry = [&seen](const char* name) {
+    return seen[find_key(name) - kKeys];
+  };
+
   // Fail on an unknown element now, not steps into a run; the lookup table
   // depends on the pair style.
   if (sc.pair_style == "lj") {
@@ -472,24 +601,6 @@ Scenario scenario_from_deck(const Deck& deck) {
                                 "workloads)");
   } else {
     eam::zhou_parameters(sc.element);
-  }
-
-  // Geometry/key cross-validation: a key the chosen geometry ignores must
-  // reject, not silently simulate something else. Vacancies on a fused
-  // bicrystal would corrupt the seam; replicate/scale do not apply to the
-  // bicrystal solver, and the bicrystal controls do not apply elsewhere.
-  if (sc.geometry == "grain_boundary") {
-    WSMD_REQUIRE(sc.vacancy_fraction == 0.0,
-                 deck.source << ": vacancy_fraction is not supported with "
-                                "geometry=grain_boundary");
-    WSMD_REQUIRE(!deck.has("replicate") && !deck.has("scale"),
-                 deck.source << ": replicate/scale do not apply to "
-                                "geometry=grain_boundary (size it with "
-                                "gb_atoms)");
-  } else {
-    WSMD_REQUIRE(!deck.has("tilt_angle_deg") && !deck.has("gb_atoms"),
-                 deck.source << ": tilt_angle_deg/gb_atoms require "
-                                "geometry=grain_boundary");
   }
 
   // Velocity rescaling cannot heat a motionless system (scaling zero stays
@@ -513,15 +624,17 @@ Scenario scenario_from_deck(const Deck& deck) {
     }
   }
 
-  // Checkpointing cross-validation: a path with no cadence at all would
-  // silently never checkpoint. An explicit `checkpoint.every = 0` is the
-  // documented off-switch (e.g. a resume override), so only the entirely
-  // absent key is an error.
-  if (checkpoint_path_entry != nullptr && sc.checkpoint_every == 0 &&
-      !deck.has("checkpoint.every")) {
-    bad_entry(deck, *checkpoint_path_entry,
-              "checkpoint.path needs checkpoint.every");
+  // The killed rank must exist under the backend's rank count.
+  if (sc.dist_kill_rank >= 0) {
+    const int ranks = parse_backend(sc.backend).ranks;
+    if (sc.dist_kill_rank >= ranks) {
+      bad_entry(deck, *seen_entry("dist.kill_rank"),
+                format("kill rank %d is outside backend %s (ranks 0..%d)",
+                       sc.dist_kill_rank, sc.backend.c_str(), ranks - 1));
+    }
   }
+
+  // Name-derived defaults (the name key may come after these in the deck).
   if (sc.checkpoint_every > 0 && sc.checkpoint_path.empty()) {
     sc.checkpoint_path = sc.name + ".ckpt";
   }
@@ -535,8 +648,9 @@ Scenario scenario_from_deck(const Deck& deck) {
   // explicitly off is a contradiction, and with metrics merely absent the
   // metrics file is implied (same auto default as telemetry.metrics=auto).
   if (sc.telemetry_snapshot_s > 0.0) {
-    if (metrics_off) {
-      bad_entry(deck, *snapshot_entry,
+    const DeckEntry* metrics = seen_entry("telemetry.metrics");
+    if (metrics != nullptr && metrics->value == "off") {
+      bad_entry(deck, *seen_entry("telemetry.snapshot"),
                 "telemetry.snapshot streams into the metrics file, but "
                 "telemetry.metrics is off");
     }
@@ -544,79 +658,7 @@ Scenario scenario_from_deck(const Deck& deck) {
       sc.telemetry_metrics_path = sc.name + ".metrics.jsonl";
     }
   }
-  // health.* cross-key validation: a band/timeout for a disabled detector
-  // is dead configuration — reject it like the observe.* rules do.
-  const auto requires_detector = [&](const char* key,
-                                     telemetry::HealthAction action,
-                                     const char* detector_key) {
-    const auto it = health_seen.find(key);
-    if (it != health_seen.end() && action == telemetry::HealthAction::kOff) {
-      bad_entry(deck, *it->second,
-                std::string("requires ") + detector_key + " = warn|abort");
-    }
-  };
-  requires_detector("health.energy_band", sc.health.energy_drift,
-                    "health.energy_drift");
-  requires_detector("health.temperature_band", sc.health.temperature,
-                    "health.temperature");
-  requires_detector("health.stall_timeout", sc.health.stall, "health.stall");
-  if (sc.health.inject_nan_step > 0 &&
-      sc.health.nan == telemetry::HealthAction::kOff) {
-    bad_entry(deck, *health_seen.at("health.inject_nan"),
-              "the NaN fault drill needs health.nan = warn|abort");
-  }
 
-  // dist.* cross-key validation, eager like everything above: the keys
-  // are dead configuration off a ranks: backend, and the kill drill is a
-  // (rank, step) pair — half of it would silently never fire.
-  if (!dist_seen.empty()) {
-    const BackendSpec bs = parse_backend(sc.backend);
-    if (bs.backend != engine::Backend::kRanks) {
-      bad_entry(deck, *dist_seen.begin()->second,
-                "dist.* keys need backend = ranks:M (got '" + sc.backend +
-                    "')");
-    }
-    if (sc.dist_kill_rank >= 0 && sc.dist_kill_step == 0) {
-      bad_entry(deck, *dist_seen.at("dist.kill_rank"),
-                "dist.kill_rank needs dist.kill_step");
-    }
-    if (sc.dist_kill_step > 0 && sc.dist_kill_rank < 0) {
-      bad_entry(deck, *dist_seen.at("dist.kill_step"),
-                "dist.kill_step needs dist.kill_rank");
-    }
-    if (sc.dist_kill_rank >= bs.ranks) {
-      bad_entry(deck, *dist_seen.at("dist.kill_rank"),
-                format("kill rank %d is outside backend %s (ranks 0..%d)",
-                       sc.dist_kill_rank, sc.backend.c_str(), bs.ranks - 1));
-    }
-  }
-
-  // observe.* cross-key validation. Each rule blames the deck line that
-  // introduced the inconsistent key, so the fix is one hop away.
-  if (!observe_seen.empty() && sc.observe.probes.empty()) {
-    bad_entry(deck, *observe_seen.begin()->second,
-              "observe.* keys need observe.probes");
-  }
-  const auto requires_probe = [&](const char* key, const char* probe) {
-    const auto it = observe_seen.find(key);
-    if (it != observe_seen.end() && !sc.observe.has(probe)) {
-      bad_entry(deck, *it->second,
-                std::string("requires the ") + probe + " probe");
-    }
-  };
-  requires_probe("observe.rdf_every", "rdf");
-  requires_probe("observe.rdf_rcut", "rdf");
-  requires_probe("observe.rdf_bins", "rdf");
-  requires_probe("observe.msd_every", "msd");
-  requires_probe("observe.vacf_every", "vacf");
-  requires_probe("observe.defects_every", "defects");
-  requires_probe("observe.csp_threshold", "defects");
-  requires_probe("observe.gb_axis", "defects");
-  if (const auto it = observe_seen.find("observe.gb_axis");
-      it != observe_seen.end() && sc.geometry != "grain_boundary") {
-    bad_entry(deck, *it->second,
-              "grain-boundary tracking requires geometry=grain_boundary");
-  }
   // Default: a defect probe on a bicrystal tracks the boundary plane along
   // the generator's GB normal (y) unless the deck says otherwise.
   if (sc.observe.has("defects") && sc.geometry == "grain_boundary" &&
@@ -634,12 +676,9 @@ Scenario scenario_from_deck(const Deck& deck) {
     const auto require_box_fits = [&](const char* probe,
                                       const char* blame_key, double rcut,
                                       const char* fix_hint) {
-      const DeckEntry* entry = observe_seen.at("observe.probes");
-      if (blame_key != nullptr) {
-        if (const auto it = observe_seen.find(blame_key);
-            it != observe_seen.end()) {
-          entry = it->second;
-        }
+      const DeckEntry* entry = seen_entry("observe.probes");
+      if (blame_key != nullptr && seen_entry(blame_key) != nullptr) {
+        entry = seen_entry(blame_key);
       }
       for (std::size_t a = 0; a < 3; ++a) {
         const double len = sc.replicate[a] * a0;
@@ -672,162 +711,13 @@ Deck deck_from_scenario(const Scenario& sc) {
   // authority for file-style line numbering, so overrides appended later
   // (line 0) get the usual whole-schedule-replacement semantics.
   std::vector<std::pair<std::string, std::string>> entries;
-  const auto add = [&entries](const std::string& key,
-                              const std::string& value) {
-    entries.emplace_back(key, value);
-  };
-  // %.17g round-trips FP64 exactly through the strict parser.
-  const auto num = [](double v) { return format("%.17g", v); };
-
-  add("name", sc.name);
-  add("element", sc.element);
-  // Emitted unconditionally (defaults included): the checkpoint's embedded
-  // deck must pin the evaluation path, or a resume could silently continue
-  // a tabulated trajectory on the analytic kernels.
-  add("pair_style", sc.pair_style);
-  add("potential", sc.potential);
-  add("geometry", sc.geometry);
-  if (sc.geometry == "grain_boundary") {
-    add("tilt_angle_deg", num(sc.tilt_angle_deg));
-    add("gb_atoms", std::to_string(sc.gb_target_atoms));
-  } else if (sc.replicate[0] > 0) {
-    add("replicate", format("%d %d %d", sc.replicate[0], sc.replicate[1],
-                            sc.replicate[2]));
-  } else {
-    add("scale", std::to_string(sc.scale));
-  }
-  if (sc.vacancy_fraction > 0.0) {
-    add("vacancy_fraction", num(sc.vacancy_fraction));
-  }
-  add("backend", sc.backend);
-  add("dt", num(sc.dt));
-  add("swap_interval", std::to_string(sc.swap_interval));
-  add("rescale_interval", std::to_string(sc.rescale_interval));
-  add("seed", std::to_string(sc.seed));
-  // dist.* keys only under a ranks: backend (the parser rejects them
-  // elsewhere) and only off their defaults, so round-trips of non-ranks
-  // scenarios are byte-identical to before the keys existed. A checkpoint
-  // resumed with --backend=ranks:4 re-ranks: the slab partition is derived
-  // from the rank count at restore, never stored.
-  if (parse_backend(sc.backend).backend == engine::Backend::kRanks) {
-    // Transport is emitted unconditionally: a checkpoint-embedded deck
-    // must pin the carrier its run used, not inherit a future default.
-    add("dist.transport", sc.dist_transport);
-    if (sc.dist_timeout_s != 300.0) add("dist.timeout", num(sc.dist_timeout_s));
-    if (sc.dist_kill_rank >= 0) {
-      add("dist.kill_rank", std::to_string(sc.dist_kill_rank));
-      add("dist.kill_step", std::to_string(sc.dist_kill_step));
-    }
-  }
-  for (const auto& st : sc.schedule) {
-    switch (st.kind) {
-      case Stage::Kind::kThermalize:
-        add("thermalize", num(st.t0));
-        break;
-      case Stage::Kind::kEquilibrate:
-      case Stage::Kind::kQuench:
-        add(st.name(), num(st.t0) + " " + std::to_string(st.steps));
-        break;
-      case Stage::Kind::kRamp:
-        add("ramp", num(st.t0) + " " + num(st.t1) + " " +
-                        std::to_string(st.steps));
-        break;
-      case Stage::Kind::kRun:
-        add("run", std::to_string(st.steps));
-        break;
-    }
-  }
-  if (!sc.xyz_path.empty()) {
-    add("xyz", sc.xyz_path);
-    add("xyz_every", std::to_string(sc.xyz_every));
-  }
-  if (!sc.thermo_path.empty()) {
-    add("thermo", sc.thermo_path);
-    add("thermo_every", std::to_string(sc.thermo_every));
-    add("thermo_format", sc.thermo_format);
-  }
-  if (!sc.summary_path.empty()) add("summary", sc.summary_path);
-  if (sc.observe.enabled()) {
-    std::string probes;
-    for (const auto& kind : sc.observe.probes) {
-      probes += (probes.empty() ? "" : " ") + kind;
-    }
-    add("observe.probes", probes);
-    add("observe.every", std::to_string(sc.observe.every));
-    const auto add_cadence = [&](const char* key, long every) {
-      if (every > 0) add(key, std::to_string(every));
-    };
-    add_cadence("observe.rdf_every", sc.observe.rdf_every);
-    add_cadence("observe.msd_every", sc.observe.msd_every);
-    add_cadence("observe.vacf_every", sc.observe.vacf_every);
-    add_cadence("observe.defects_every", sc.observe.defects_every);
-    add("observe.format", sc.observe.format);
-    if (!sc.observe.prefix.empty()) add("observe.prefix", sc.observe.prefix);
-    if (sc.observe.has("rdf")) {
-      if (sc.observe.rdf_rcut > 0.0) {
-        add("observe.rdf_rcut", num(sc.observe.rdf_rcut));
+  for (const Key& k : kKeys) {
+    if (k.kind == kSchedule) {
+      for (const auto& st : sc.schedule) {
+        entries.emplace_back(st.name(), stage_value(st));
       }
-      add("observe.rdf_bins", std::to_string(sc.observe.rdf_bins));
-    }
-    if (sc.observe.has("defects")) {
-      add("observe.csp_threshold", num(sc.observe.csp_threshold));
-      if (sc.observe.gb_axis >= 0) {
-        add("observe.gb_axis",
-            std::string(1, "xyz"[static_cast<std::size_t>(
-                                sc.observe.gb_axis)]));
-      }
-    }
-  }
-  if (sc.checkpoint_every > 0) {
-    add("checkpoint.every", std::to_string(sc.checkpoint_every));
-    add("checkpoint.path", sc.checkpoint_path);
-  }
-  if (!sc.telemetry_trace_path.empty()) {
-    add("telemetry.trace", sc.telemetry_trace_path);
-  }
-  if (!sc.telemetry_metrics_path.empty()) {
-    add("telemetry.metrics", sc.telemetry_metrics_path);
-  }
-  if (sc.telemetry_snapshot_s > 0.0) {
-    add("telemetry.snapshot", num(sc.telemetry_snapshot_s));
-  }
-  // health.* keys: only non-default settings are emitted, and dependent
-  // band/timeout keys only when their detector is enabled (the parser
-  // rejects them otherwise, and round-tripping must stay clean).
-  {
-    const telemetry::HealthConfig def;
-    const auto act = [](telemetry::HealthAction a) {
-      return std::string(telemetry::health_action_name(a));
-    };
-    if (sc.health.nan != def.nan) add("health.nan", act(sc.health.nan));
-    if (sc.health.energy_drift != def.energy_drift) {
-      add("health.energy_drift", act(sc.health.energy_drift));
-    }
-    if (sc.health.energy_drift != telemetry::HealthAction::kOff &&
-        sc.health.energy_band != def.energy_band) {
-      add("health.energy_band", num(sc.health.energy_band));
-    }
-    if (sc.health.temperature != def.temperature) {
-      add("health.temperature", act(sc.health.temperature));
-    }
-    if (sc.health.temperature != telemetry::HealthAction::kOff &&
-        sc.health.temperature_band_K != def.temperature_band_K) {
-      add("health.temperature_band", num(sc.health.temperature_band_K));
-    }
-    if (sc.health.stall != def.stall) add("health.stall", act(sc.health.stall));
-    if (sc.health.stall != telemetry::HealthAction::kOff &&
-        sc.health.stall_timeout_s != def.stall_timeout_s) {
-      add("health.stall_timeout", num(sc.health.stall_timeout_s));
-    }
-    if (sc.health.thermo_tail != def.thermo_tail) {
-      add("health.thermo_tail", std::to_string(sc.health.thermo_tail));
-    }
-    if (!sc.health.bundle_dir.empty()) {
-      add("health.bundle", sc.health.bundle_dir);
-    }
-    if (sc.health.inject_nan_step > 0 &&
-        sc.health.nan != telemetry::HealthAction::kOff) {
-      add("health.inject_nan", std::to_string(sc.health.inject_nan_step));
+    } else if (emitted(k, sc)) {
+      entries.emplace_back(k.name, text(k, sc));
     }
   }
   return deck_from_entries(entries, "<scenario>");

@@ -10,6 +10,12 @@
 /// loudly instead of silently simulating the default — and the same
 /// `key=value` tokens work as CLI overrides.
 ///
+/// Every key is one row of the key table in scenario.cpp (`kKeys`): its
+/// value kind and range, its requirement, whether the canonical deck
+/// writes it when default, and whether a resume may change it. Parsing,
+/// the canonical deck, the resume pins and `wsmd --help` all come from
+/// that table; the list below documents each key.
+///
 /// Recognized keys:
 ///   name, element                  — identification / parameter-set lookup
 ///   pair_style = eam|lj            — interaction family: Zhou EAM metals
@@ -231,6 +237,16 @@ Scenario scenario_from_deck(const Deck& deck);
 /// what makes `wsmd resume CKPT` self-contained — the effective scenario
 /// (original CLI overrides included) travels inside the checkpoint.
 Deck deck_from_scenario(const Scenario& sc);
+
+/// Every deck key (schedule keys and `nve` included), in canonical order.
+std::vector<std::string> deck_key_names();
+
+/// The canonical text of a non-schedule key in `sc` (throws on others).
+std::string deck_value(const Scenario& sc, const std::string& key);
+
+/// The keys a resume may not change; `probe_state` adds the observe.*
+/// analysis keys, pinned while a checkpoint carries probe accumulators.
+std::vector<std::string> resume_pinned_keys(bool probe_state);
 
 /// Structure generation bookkeeping the driver reports.
 struct StructureInfo {

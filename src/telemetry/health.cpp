@@ -35,19 +35,6 @@ std::string encode_event(const HealthEvent& e) {
 
 }  // namespace
 
-bool parse_health_action(const std::string& token, HealthAction* out) {
-  if (token == "off") {
-    *out = HealthAction::kOff;
-  } else if (token == "warn") {
-    *out = HealthAction::kWarn;
-  } else if (token == "abort") {
-    *out = HealthAction::kAbort;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* health_action_name(HealthAction action) {
   switch (action) {
     case HealthAction::kOff:

@@ -49,9 +49,7 @@ enum class HealthAction {
   kAbort,  ///< write the diagnostic bundle and terminate the run
 };
 
-/// Parse "off" / "warn" / "abort"; returns false on any other token so the
-/// deck parser can raise its own file:line error.
-bool parse_health_action(const std::string& token, HealthAction* out);
+/// "off" / "warn" / "abort" — the deck spelling of each action.
 const char* health_action_name(HealthAction action);
 
 /// Per-deck watchdog configuration (`health.*` keys, eager-validated by

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace wsmd {
 
@@ -54,13 +57,17 @@ bool parse_long_strict(const std::string& token, long& out) {
 }
 
 bool parse_double_strict(const std::string& token, double& out) {
-  try {
-    std::size_t pos = 0;
-    out = std::stod(token, &pos);
-    return pos == token.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+  // strtod, as std::stod calls it, but an underflow to a subnormal is a
+  // value here, not an error: the writers emit such numbers and the
+  // readers must take them back. Overflow and underflow to zero still fail.
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || end != begin + token.size()) return false;
+  if (errno == ERANGE && (std::isinf(v) || v == 0.0)) return false;
+  out = v;
+  return true;
 }
 
 std::string format(const char* fmt, ...) {

@@ -111,6 +111,37 @@ TEST(Xyz, RejectsNonFinitePositions) {
   EXPECT_THROW(io::write_xyz_frame(ss, s, {"Cu", "W"}), Error);
 }
 
+TEST(Xyz, SubnormalCoordinatesRoundTrip) {
+  // %.10g writes subnormals as such; the reader must take them back.
+  auto s = tiny_structure();
+  s.positions[0].x = 1e-310;
+  s.positions[1].z = 4.9e-324;  // the smallest subnormal
+  s.positions[2].y = -1e-310;
+  std::stringstream ss;
+  io::write_xyz_frame(ss, s, {"Cu", "W"});
+  const auto frames = io::read_xyz(ss);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].positions[0].x, 1e-310);
+  EXPECT_EQ(frames[0].positions[1].z, 4.9e-324);
+  EXPECT_EQ(frames[0].positions[2].y, -1e-310);
+}
+
+TEST(Xyz, RefusesCoordinatesThatPrintPastDblMax) {
+  // DBL_MAX prints as 1.797693135e+308 at ten digits, which overflows on
+  // reading: refused before anything is written, like NaN.
+  auto s = tiny_structure();
+  s.positions[2].x = std::numeric_limits<double>::max();
+  std::stringstream ss;
+  EXPECT_THROW(io::write_xyz_frame(ss, s, {"Cu", "W"}), Error);
+  EXPECT_TRUE(ss.str().empty());
+  s.positions[2].x = -std::numeric_limits<double>::max();
+  EXPECT_THROW(io::write_xyz_frame(ss, s, {"Cu", "W"}), Error);
+  // The largest ten-digit value below DBL_MAX still round-trips.
+  s.positions[2].x = 1.797693134e308;
+  io::write_xyz_frame(ss, s, {"Cu", "W"});
+  EXPECT_EQ(io::read_xyz(ss)[0].positions[2].x, 1.797693134e308);
+}
+
 TEST(Xyz, RejectsUnnamedType) {
   const auto s = tiny_structure();  // types 0 and 1
   std::stringstream ss;

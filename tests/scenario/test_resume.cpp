@@ -4,10 +4,11 @@
 /// mid-stage and resumed from its last checkpoint must produce the same
 /// thermo and observable series as the run that never stopped. Exercised
 /// on scenarios/cu_gb_mobility.deck (all four probes live) with kill
-/// points inside two different stages, on both the reference backend and
-/// sharded:3. Sharded-vs-serial parity is pinned bitwise by the engine
-/// tests, so both backends are compared exactly here (stricter than the
-/// FP32 acceptance band).
+/// points inside two different stages, on the reference backend, sharded:3
+/// and ranks:2 (which resumes from a canonical deck pinning
+/// dist.transport). Sharded-vs-serial parity is pinned bitwise by the
+/// engine tests, so every backend is compared exactly here (stricter than
+/// the FP32 acceptance band).
 ///
 /// Also covered: the checkpoint deck keys' eager validation, the
 /// embedded-deck round trip (deck_from_scenario), and the rejection of
@@ -63,7 +64,7 @@ void expect_rows_equal(const io::Series& straight, const io::Series& resumed,
 }
 
 TEST(Resume, KillMidStageReproducesTheUninterruptedRun) {
-  for (const std::string backend : {"reference", "sharded:3"}) {
+  for (const std::string backend : {"reference", "sharded:3", "ranks:2"}) {
     const std::string base =
         ::testing::TempDir() + "wsmd_resume_" + backend.substr(0, 3);
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -45,6 +48,25 @@ TEST(StringUtil, StartsWith) {
 TEST(StringUtil, Format) {
   EXPECT_EQ(format("%d atoms at %.1f K", 800, 290.0), "800 atoms at 290.0 K");
   EXPECT_EQ(format("plain"), "plain");
+}
+
+TEST(StringUtil, ParseDoubleStrict) {
+  double v = 0.0;
+  EXPECT_TRUE(parse_double_strict("+1.5", v));
+  EXPECT_EQ(v, 1.5);
+  EXPECT_TRUE(parse_double_strict("-0", v));
+  EXPECT_TRUE(v == 0.0 && std::signbit(v));
+  // An underflow to a subnormal is a value (the writers emit them).
+  EXPECT_TRUE(parse_double_strict("1e-310", v));
+  EXPECT_EQ(v, 1e-310);
+  EXPECT_TRUE(parse_double_strict("4.9e-324", v));
+  EXPECT_EQ(v, std::numeric_limits<double>::denorm_min());
+  // Overflow, underflow past the subnormals, and partial tokens fail.
+  EXPECT_FALSE(parse_double_strict("1e999", v));
+  EXPECT_FALSE(parse_double_strict("1e-400", v));
+  EXPECT_FALSE(parse_double_strict("1.5x", v));
+  EXPECT_FALSE(parse_double_strict("", v));
+  EXPECT_FALSE(parse_double_strict("x", v));
 }
 
 TEST(StringUtil, WithCommas) {
