@@ -91,9 +91,6 @@ void print_usage(std::FILE* out) {
                "                    ranks:M|ranks:MxN — M forked rank\n"
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
-               "  --transport=T     halo transport override for ranks:\n"
-               "                    backends (shm|socket); same as\n"
-               "                    dist.transport=T\n"
                "  --output-dir=DIR  prefix for relative output paths\n"
                "  --print           parse and show the effective scenario\n"
                "                    as its canonical deck, do not run\n"
@@ -214,17 +211,6 @@ bool parse_telemetry_flag(const std::string& arg,
   return true;
 }
 
-/// Parse --transport=shm|socket into the dist.transport deck override (the
-/// value check stays in scenario parsing, so the flag and the deck key
-/// cannot drift).
-bool parse_transport_flag(const std::string& arg,
-                          std::vector<wsmd::scenario::DeckEntry>& overrides) {
-  using wsmd::scenario::DeckEntry;
-  if (!wsmd::starts_with(arg, "--transport=")) return false;
-  overrides.push_back(DeckEntry{"dist.transport", arg.substr(12), 0});
-  return true;
-}
-
 int run_report(int argc, char** argv) {
   using namespace wsmd;
   std::vector<std::string> decks;
@@ -263,8 +249,6 @@ int run_report(int argc, char** argv) {
       opt.output_dir = arg.substr(13);
     } else if (parse_telemetry_flag(arg, overrides)) {
       // handled
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (parse_progress_flag(arg, opt)) {
       // handled
     } else if (starts_with(arg, "--")) {
@@ -288,9 +272,9 @@ int run_report(int argc, char** argv) {
                               ? scenario::Deck{"<cli>", {}, }
                               : scenario::parse_deck_file(path);
     for (const auto& o : overrides) deck.set(o.key, o.value);
-    // Fold --backend= into the deck before validation: dist.* keys (e.g.
-    // a --transport= flag) are eagerly rejected off a ranks: backend, and
-    // the check must see the backend the run will actually use.
+    // Fold --backend= into the deck before validation: dist.* keys are
+    // eagerly rejected off a ranks: backend, and the check must see the
+    // backend the run will actually use.
     if (!opt.backend_override.empty()) {
       deck.set("backend", opt.backend_override);
     }
@@ -406,8 +390,6 @@ int run_resume(int argc, char** argv) {
       scenario::parse_backend(opt.backend_override);  // validate now
     } else if (starts_with(arg, "--output-dir=")) {
       opt.output_dir = arg.substr(13);
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (starts_with(arg, "--")) {
       WSMD_REQUIRE(false, "unknown resume option '" << arg << "'");
     } else if (arg.find('=') != std::string::npos) {
@@ -512,8 +494,6 @@ int main(int argc, char** argv) {
         opt.output_dir = arg.substr(13);
       } else if (parse_telemetry_flag(arg, overrides)) {
         // handled
-      } else if (parse_transport_flag(arg, overrides)) {
-        // handled
       } else if (parse_progress_flag(arg, opt)) {
         // handled
       } else if (starts_with(arg, "--")) {
@@ -543,11 +523,10 @@ int main(int argc, char** argv) {
           path.empty() ? scenario::Deck{"<cli>", {}, }
                        : scenario::parse_deck_file(path);
       for (const auto& o : overrides) deck.set(o.key, o.value);
-      // Fold --backend= into the deck before validation: dist.* keys
-      // (e.g. a --transport= flag) are eagerly rejected off a ranks:
-      // backend, and the check must see the backend the run will
-      // actually use. This also makes --print show the effective
-      // scenario directly.
+      // Fold --backend= into the deck before validation: dist.* keys are
+      // eagerly rejected off a ranks: backend, and the check must see the
+      // backend the run will actually use. This also makes --print show
+      // the effective scenario directly.
       if (!opt.backend_override.empty()) {
         deck.set("backend", opt.backend_override);
       }

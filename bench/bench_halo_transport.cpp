@@ -1,16 +1,17 @@
 /// \file bench_halo_transport.cpp
-/// Halo transport micro + macro comparison: the AF_UNIX socket tier vs the
-/// shared-memory rings (dist/shm_channel), as message-level latency and
-/// bandwidth across halo payload sizes, and end-to-end as the measured
-/// dist.halo_* seconds of a real ranks:2 Cu slab on each carrier.
+/// The shared-memory halo rings (dist/shm_channel) against the framed
+/// AF_UNIX control-plane sockets (dist/transport), as message-level
+/// latency and bandwidth across halo payload sizes, plus the measured
+/// dist.halo_* seconds of a real ranks:M Cu slab on the rings.
 ///
 ///   bench_halo_transport [--ranks=M] [--steps=K] [--scale=S]
 ///                        [--pingpongs=N] [--stream-mb=M]
 ///
-/// Results land in BENCH_halo_transport.json. The shm-over-socket ratios
-/// (message latency and slab halo seconds) divide two measurements of the
+/// Results land in BENCH_halo_transport.json. The ring-over-socket ratios
+/// (ping-pong latency, stream bandwidth) divide two measurements of the
 /// same run, so the bench gate pins them as hard floors — losing the
 /// shared-memory fast path is a structural regression, not runner noise.
+/// The slab row is informational.
 
 #include <unistd.h>
 
@@ -45,8 +46,8 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Round-trip ping-pong over the socket tier: A sends a frame, B echoes
-/// it. Returns one-way seconds per message (round-trip / 2).
+/// Round-trip ping-pong over a control-plane socketpair: A sends a frame,
+/// B echoes it. Returns one-way seconds per message (round-trip / 2).
 double socket_latency(std::size_t bytes, int iters) {
   dist::ChannelPair pair = dist::make_channel_pair();
   const std::vector<std::uint8_t> payload(bytes, 0x5a);
@@ -75,20 +76,18 @@ double shm_latency(std::size_t bytes, int iters) {
   const std::vector<std::uint8_t> payload(bytes, 0x5a);
   std::thread echo([&] {
     for (int i = 0; i < iters; ++i) {
-      std::size_t size = 0;
       const std::uint8_t* p =
-          b.recv.acquire(dist::Tag::kHaloFprime, size, wait);
+          b.recv.acquire(dist::Tag::kHaloFprime, bytes, wait);
       std::uint8_t* out = b.send.begin_publish(wait);
-      std::memcpy(out, p, size);
+      std::memcpy(out, p, bytes);
       b.recv.release();
-      b.send.commit_publish(dist::Tag::kHaloFprime, size);
+      b.send.commit_publish(dist::Tag::kHaloFprime, bytes);
     }
   });
   const auto t0 = Clock::now();
   for (int i = 0; i < iters; ++i) {
     a.send.publish(dist::Tag::kHaloFprime, payload.data(), bytes, wait);
-    std::size_t size = 0;
-    a.recv.acquire(dist::Tag::kHaloFprime, size, wait);
+    a.recv.acquire(dist::Tag::kHaloFprime, bytes, wait);
     a.recv.release();
   }
   const double elapsed = seconds_since(t0);
@@ -126,8 +125,7 @@ double shm_bandwidth(std::size_t bytes, std::size_t total_bytes) {
   const std::vector<std::uint8_t> payload(bytes, 0x3c);
   std::thread consumer([&] {
     for (long i = 0; i < messages; ++i) {
-      std::size_t size = 0;
-      b.recv.acquire(dist::Tag::kHaloState, size, wait);
+      b.recv.acquire(dist::Tag::kHaloState, bytes, wait);
       b.recv.release();
     }
   });
@@ -148,11 +146,9 @@ struct SlabLeg {
   double steps_per_s = 0.0;
 };
 
-/// End-to-end: the CI-class Cu slab on ranks:M with the given transport,
-/// telemetry armed, halo seconds read from the same spans `wsmd report`
-/// joins.
-SlabLeg run_slab(dist::HaloTransport transport, int ranks, int scale,
-                 long steps) {
+/// End-to-end: the CI-class Cu slab on ranks:M, telemetry armed, halo
+/// seconds read from the same spans `wsmd report` joins.
+SlabLeg run_slab(int ranks, int scale, long steps) {
   const auto p = eam::zhou_parameters("Cu");
   const auto slab = lattice::paper_slab("Cu", scale);
   auto analytic = std::make_shared<eam::ZhouEam>("Cu", p.paper_cutoff());
@@ -162,11 +158,10 @@ SlabLeg run_slab(dist::HaloTransport transport, int ranks, int scale,
   dist::DistributedConfig cfg;
   cfg.wse.mapping.cell_size = p.lattice_constant();
   cfg.ranks = ranks;
-  cfg.transport = transport;
   dist::DistributedEngine engine(slab, pot, cfg);
   Rng rng(12345);
   engine.thermalize(290.0, rng);
-  engine.step();  // warm caches and socket buffers outside the measurement
+  engine.step();  // warm caches and rings outside the measurement
 
   telemetry::begin_session();
   const auto t0 = Clock::now();
@@ -215,16 +210,15 @@ int main(int argc, char** argv) try {
   }
 
   std::printf(
-      "Halo transport comparison — AF_UNIX socket frames vs POSIX\n"
-      "shared-memory rings (dist.transport = socket|shm).\n\n");
+      "Halo rings vs control-plane sockets — POSIX shared-memory rings\n"
+      "against framed AF_UNIX socket messages.\n\n");
 
   BenchJson json("halo_transport");
   json.meta().set("ranks", ranks).set("scale", scale).set(
       "steps", static_cast<long long>(steps));
-  // The end-to-end halo seconds only reflect the transport when each rank
-  // has its own core; on a time-shared single CPU they measure scheduler
-  // skew (the wait for the peer's compute quantum), so the slab ratio
-  // gate keys on this flag.
+  // The slab's halo seconds only reflect the rings when each rank has its
+  // own core; on a time-shared single CPU they measure scheduler skew (the
+  // wait for the peer's compute quantum).
   const bool multicore = std::thread::hardware_concurrency() > 1;
   json.meta().set("multicore", multicore);
 
@@ -272,38 +266,21 @@ int main(int argc, char** argv) try {
   }
   bw.print();
 
-  // End-to-end: the same slab, the same step count, the two carriers.
-  const SlabLeg socket_leg =
-      run_slab(dist::HaloTransport::kSocket, ranks, scale, steps);
-  const SlabLeg shm_leg =
-      run_slab(dist::HaloTransport::kShm, ranks, scale, steps);
-  json.add_row()
-      .set("leg", "slab")
-      .set("transport", "socket")
-      .set("atoms", socket_leg.atoms)
-      .set("halo_s", socket_leg.halo_s_per_step)
-      .set("overlap_s", socket_leg.overlap_s_per_step)
-      .set("steps_per_s", socket_leg.steps_per_s);
+  // End-to-end: the slab's measured halo seconds on the rings.
+  const SlabLeg slab = run_slab(ranks, scale, steps);
   json.add_row()
       .set("leg", "slab")
       .set("transport", "shm")
-      .set("atoms", shm_leg.atoms)
-      .set("halo_s", shm_leg.halo_s_per_step)
-      .set("overlap_s", shm_leg.overlap_s_per_step)
-      .set("steps_per_s", shm_leg.steps_per_s);
+      .set("atoms", slab.atoms)
+      .set("halo_s", slab.halo_s_per_step)
+      .set("overlap_s", slab.overlap_s_per_step)
+      .set("steps_per_s", slab.steps_per_s);
 
   std::printf(
       "\nEnd-to-end Cu slab (scale %d, %s atoms, ranks:%d, %ld steps):\n"
-      "  socket: halo %.3g s/step (overlap %.3g), %.1f steps/s\n"
-      "  shm:    halo %.3g s/step (overlap %.3g), %.1f steps/s\n"
-      "  halo speedup: %.1fx\n",
-      scale, with_commas(shm_leg.atoms).c_str(), ranks, steps,
-      socket_leg.halo_s_per_step, socket_leg.overlap_s_per_step,
-      socket_leg.steps_per_s, shm_leg.halo_s_per_step,
-      shm_leg.overlap_s_per_step, shm_leg.steps_per_s,
-      shm_leg.halo_s_per_step > 0.0
-          ? socket_leg.halo_s_per_step / shm_leg.halo_s_per_step
-          : 0.0);
+      "  halo %.3g s/step (overlap %.3g), %.1f steps/s\n",
+      scale, with_commas(slab.atoms).c_str(), ranks, steps,
+      slab.halo_s_per_step, slab.overlap_s_per_step, slab.steps_per_s);
 
   const std::string path = json.write();
   std::printf("\nMachine-readable results: %s\n", path.c_str());

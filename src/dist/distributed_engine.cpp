@@ -40,6 +40,12 @@ DistributedEngine::DistributedEngine(const lattice::Structure& s,
   WSMD_REQUIRE(config_.threads >= 1,
                "ranks backend needs >= 1 shard threads per rank, got "
                    << config_.threads);
+  WSMD_REQUIRE(saved_state_bytes(template_.atom_count(),
+                                  template_.mapping().core_count()) <=
+                   kMaxFrameBytes,
+               "ranks backend: the state of " << template_.atom_count()
+                   << " atoms does not fit one " << kMaxFrameBytes
+                   << "-byte frame");
   const int m = config_.ranks;
   strips_ = row_strips(template_.mapping().grid_width(),
                        template_.mapping().grid_height(), m);
@@ -81,44 +87,37 @@ void DistributedEngine::spawn_ranks() {
   const int m = config_.ranks;
   std::vector<ChannelPair> controls(static_cast<std::size_t>(m));
   for (auto& pair : controls) pair = make_channel_pair();
-  struct PeerPair {
-    int i;
-    int j;
-    ChannelPair pair;
-  };
-  std::vector<PeerPair> peers;
-  for (int i = 0; i < m; ++i) {
-    for (int j = i + 1; j < m; ++j) {
-      peers.push_back(PeerPair{i, j, make_channel_pair()});
-    }
-  }
 
-  // Shm tier: create every halo pair's shared segment *before* forking —
-  // the ranks inherit the live mappings, and because each segment is
-  // shm_unlinked inside its constructor, no /dev/shm entry survives this
-  // loop, let alone a crashed rank. Pairs come from the state-exchange
-  // radius b+1 (a superset of the F' pairs at radius b); slots are sized
-  // for the largest message either direction can carry — rows x grid
-  // width is an upper bound on halo atoms, swaps included.
-  std::vector<ShmPairSegment> segments;
-  if (config_.transport == HaloTransport::kShm) {
-    const int b = template_.b();
-    const int w = template_.mapping().grid_width();
-    const long pid = static_cast<long>(::getpid());
-    for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
-      std::size_t slot_bytes = 64;
-      for (const auto& [owner, needer] :
-           {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
-        const std::size_t fp_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b).rows());
-        const std::size_t st_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b + 1).rows());
-        slot_bytes = std::max(
-            {slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
-             st_rows * static_cast<std::size_t>(w) * 24});
-      }
-      segments.emplace_back(pid, i, j, slot_bytes);
+  // One link per halo pair — a canary socketpair plus a shared segment —
+  // created *before* forking: the ranks inherit the live mappings, and
+  // because each segment is shm_unlinked inside its constructor, no
+  // /dev/shm entry survives this loop, let alone a crashed rank. Pairs
+  // come from the state-exchange radius b+1 (a superset of the F' pairs at
+  // radius b); slots are sized for the largest message either direction
+  // can carry — rows x grid width is an upper bound on halo atoms, swaps
+  // included.
+  struct Link {
+    ChannelPair canary;
+    ShmPairSegment segment;
+  };
+  std::vector<Link> links;
+  const int b = template_.b();
+  const int w = template_.mapping().grid_width();
+  const long coordinator_pid = static_cast<long>(::getpid());
+  for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
+    std::size_t slot_bytes = 64;
+    for (const auto& [owner, needer] :
+         {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
+      const std::size_t fp_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b).rows());
+      const std::size_t st_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b + 1).rows());
+      slot_bytes = std::max(
+          {slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
+           st_rows * static_cast<std::size_t>(w) * 24});
     }
+    links.push_back(Link{make_channel_pair(),
+                         ShmPairSegment(coordinator_pid, i, j, slot_bytes)});
   }
 
   for (int r = 0; r < m; ++r) {
@@ -142,42 +141,26 @@ void DistributedEngine::spawn_ranks() {
         ::close(log_fd);
       }
       // Keep only this rank's channel ends; every other inherited fd is
-      // closed so peer death is observable as EOF.
+      // closed so peer death is observable as EOF, and other pairs'
+      // mappings are dropped so their memory frees with its two owners.
       Channel control = std::move(controls[static_cast<std::size_t>(r)].b);
       for (int q = 0; q < m; ++q) {
         controls[static_cast<std::size_t>(q)].a.close();
         if (q != r) controls[static_cast<std::size_t>(q)].b.close();
       }
       std::vector<PeerLink> my_peers;
-      for (auto& pp : peers) {
-        if (pp.i == r) {
-          pp.pair.b.close();
-          PeerLink link;
-          link.rank = pp.j;
-          link.channel = std::move(pp.pair.a);
-          my_peers.push_back(std::move(link));
-        } else if (pp.j == r) {
-          pp.pair.a.close();
-          PeerLink link;
-          link.rank = pp.i;
-          link.channel = std::move(pp.pair.b);
-          my_peers.push_back(std::move(link));
-        } else {
-          pp.pair.a.close();
-          pp.pair.b.close();
+      for (auto& link : links) {
+        const int i = link.segment.rank_i(), j = link.segment.rank_j();
+        if (i == r || j == r) {
+          PeerLink peer;
+          peer.rank = i == r ? j : i;
+          peer.canary = std::move(i == r ? link.canary.a : link.canary.b);
+          peer.shm = link.segment.halo_for(r);
+          my_peers.push_back(std::move(peer));
         }
-      }
-      // Keep ring views only toward this rank's own peers; drop the other
-      // pairs' inherited mappings so the memory frees with its two owners.
-      for (auto& seg : segments) {
-        if (seg.rank_i() == r || seg.rank_j() == r) {
-          const int other = seg.rank_i() == r ? seg.rank_j() : seg.rank_i();
-          for (auto& link : my_peers) {
-            if (link.rank == other) link.shm = seg.halo_for(r);
-          }
-        } else {
-          seg.unmap();
-        }
+        link.canary.a.close();
+        link.canary.b.close();
+        if (i != r && j != r) link.segment.unmap();
       }
       RankWorkerConfig wc;
       wc.rank = r;
@@ -186,7 +169,6 @@ void DistributedEngine::spawn_ranks() {
       wc.peer_timeout_ms = config_.step_timeout_ms;
       wc.kill_rank = config_.kill_rank;
       wc.kill_step = config_.kill_step;
-      wc.transport = config_.transport;
       try {
         RankWorker worker(template_, wc, std::move(control),
                           std::move(my_peers));
@@ -204,10 +186,9 @@ void DistributedEngine::spawn_ranks() {
     pair.b.close();
     control_.push_back(std::move(pair.a));
   }
-  // `peers` destructs here, closing the coordinator's copies of every
-  // rank<->rank fd — only the two owning ranks hold each pair now.
-  // `segments` destructs too: the coordinator's mappings go away, leaving
-  // each shm segment alive exactly as long as its two ranks stay mapped.
+  // `links` destructs here: the coordinator's copies of every canary fd
+  // close, and its mappings go away, leaving each pair's socket and
+  // segment alive exactly as long as its two ranks hold them.
 }
 
 void DistributedEngine::shutdown_ranks() noexcept {
@@ -321,14 +302,15 @@ engine::Thermo DistributedEngine::step() {
     const int w = template_.mapping().grid_width();
     std::vector<std::int32_t> merged(template_.mapping().core_count(), -1);
     for (std::size_t r = 0; r < control_.size(); ++r) {
-      std::vector<std::uint8_t> bytes;
+      std::vector<std::int32_t> slice;
       try {
-        bytes = control_[r].recv(Tag::kSwapPartners, config_.step_timeout_ms);
+        const auto bytes =
+            control_[r].recv(Tag::kSwapPartners, config_.step_timeout_ms);
+        Unpacker u(bytes);
+        slice = u.get_array<std::int32_t>();
       } catch (const TransportError& e) {
         rank_failed(static_cast<int>(r), e.what());
       }
-      Unpacker u(bytes);
-      const auto slice = u.get_array<std::int32_t>();
       const auto& strip = strips_[r];
       const auto lo =
           static_cast<std::size_t>(strip.y0) * static_cast<std::size_t>(w);
@@ -456,14 +438,15 @@ void DistributedEngine::gather_state(std::vector<Vec3d>& pos,
   vel.resize(template_.atom_count());
   broadcast(Tag::kGatherState, nullptr, 0);
   for (std::size_t r = 0; r < control_.size(); ++r) {
-    std::vector<std::uint8_t> bytes;
+    std::vector<float> values;
     try {
-      bytes = control_[r].recv(Tag::kStateSlice, config_.step_timeout_ms);
+      const auto bytes =
+          control_[r].recv(Tag::kStateSlice, config_.step_timeout_ms);
+      Unpacker u(bytes);
+      values = u.get_array<float>();
     } catch (const TransportError& e) {
       rank_failed(static_cast<int>(r), e.what());
     }
-    Unpacker u(bytes);
-    const auto values = u.get_array<float>();
     const auto atoms = atoms_in_rows(template_.mapping(), strips_[r].y0,
                                      strips_[r].y1);
     WSMD_REQUIRE(values.size() == atoms.size() * 6,
@@ -626,8 +609,6 @@ engine::ModeledPhaseCost DistributedEngine::modeled_phase_cost() const {
                            template_.mapping().grid_width(),
                            template_.mapping().grid_height(), model) *
       steps / (model.clock_ghz() * 1e9);
-  cost.halo_transport =
-      config_.transport == HaloTransport::kShm ? "shm" : "socket";
   return cost;
 }
 

@@ -8,8 +8,9 @@
 /// by copy-on-write — no construction-time serialization. Each rank owns
 /// a horizontal strip of the core grid (dist::row_strips, the same
 /// partition ShardedWafer uses for threads) and advances only its strip,
-/// exchanging ghost-halo planes with peer ranks over AF_UNIX socketpairs
-/// (see rank_worker.hpp for the in-step protocol). Optionally each rank
+/// exchanging ghost-halo planes with peer ranks through per-pair
+/// shared-memory rings (see rank_worker.hpp for the in-step protocol);
+/// AF_UNIX socketpairs carry the coordinator's commands. Optionally each rank
 /// runs N shard threads over sub-strips (`ranks:MxN`).
 ///
 /// Determinism contract:
@@ -45,10 +46,10 @@
 
 namespace wsmd::dist {
 
-/// Most ranks the backend accepts: all-pairs socketpairs are preallocated
-/// (so halos spanning whole neighbor strips need no forwarding), which is
-/// quadratic in M — 16 ranks is 120 pairs, far past the per-host scaling
-/// this backend targets.
+/// Most ranks the backend accepts — far past the per-host scaling this
+/// backend targets. Every halo pair gets its own link (a halo spanning
+/// whole neighbor strips needs no forwarding), so thin strips at large M
+/// link a rank to several peers.
 constexpr int kMaxRanks = 16;
 
 struct DistributedConfig {
@@ -64,10 +65,6 @@ struct DistributedConfig {
   /// kill_rank calls _Exit at the start of step kill_step.
   int kill_rank = -1;
   long kill_step = 0;
-  /// Which tier carries the halo payloads (deck key dist.transport):
-  /// per-pair shared-memory rings (default) or the peer sockets. The
-  /// trajectory is bitwise transport-invariant; only the wire differs.
-  HaloTransport transport = HaloTransport::kShm;
   /// Parent directory for the per-rank scratch files (stderr captures);
   /// empty uses the system temp dir. The runner points this at
   /// --output-dir so diagnostics land next to the run's artifacts without

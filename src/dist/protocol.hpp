@@ -75,6 +75,14 @@ struct KineticPartial {
 };
 static_assert(std::is_trivially_copyable_v<KineticPartial>);
 
+/// Bytes pack_saved_state writes for a system of `atoms` atoms on `cores`
+/// cores: the largest frame the protocol sends (see kMaxFrameBytes).
+constexpr std::uint64_t saved_state_bytes(std::uint64_t atoms,
+                                          std::uint64_t cores) {
+  return 3 * 8 + 3 * 4 + 4 * sizeof(std::uint64_t) +
+         3 * atoms * sizeof(Vec3d) + cores * sizeof(long);
+}
+
 /// kRestore payload: the full SavedState, broadcast so every rank (and the
 /// coordinator's template) adopts the identical state bitwise.
 inline void pack_saved_state(Packer& p, const core::WseMd::SavedState& st) {

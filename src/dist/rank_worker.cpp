@@ -225,10 +225,7 @@ void RankWorker::scatter_halo(Tag tag,
 }
 
 void RankWorker::publish_halo(Tag tag, int radius) {
-  const auto pairs = halo_pairs(strips_, radius);
-  const std::size_t per_atom =
-      tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
-  for (const auto& [i, j] : pairs) {
+  for (const auto& [i, j] : halo_pairs(strips_, radius)) {
     if (i != config_.rank && j != config_.rank) continue;
     const int other = i == config_.rank ? j : i;
     PeerLink* link = peer_link(other);
@@ -237,94 +234,40 @@ void RankWorker::publish_halo(Tag tag, int radius) {
     const RowSpan out = halo_rows(strips_, config_.rank, other, radius);
     const auto pack_start = Clock::now();
     const auto atoms = atoms_in_rows(md_.mapping(), out.lo, out.hi);
-    if (config_.transport == HaloTransport::kShm) {
-      // Gather straight into the shared slot: written once, read in place
-      // by the peer, zero syscalls.
-      const ShmWait wait{link->channel.fd(), config_.peer_timeout_ms};
-      std::uint8_t* dst = link->shm.send.begin_publish(wait);
-      const std::size_t bytes = gather_halo(tag, atoms, dst);
-      link->shm.send.commit_publish(tag, bytes);
-    } else {
-      // Socket tier: frame a count-prefixed float array (the historical
-      // wire format) and post it on the multi-fd exchange; the wire moves
-      // while this rank computes, and drain happens in consume_halo.
-      std::vector<std::uint8_t> buf(sizeof(std::uint64_t) +
-                                    atoms.size() * per_atom);
-      const std::uint64_t count =
-          atoms.size() * (per_atom / sizeof(float));
-      std::memcpy(buf.data(), &count, sizeof(count));
-      gather_halo(tag, atoms, buf.data() + sizeof(count));
-      mx_out_.push_back(std::move(buf));
-      mx_.add(link->channel, tag, mx_out_.back().data(),
-              mx_out_.back().size());
-    }
+    // Gather straight into the shared slot: written once, read in place
+    // by the peer, zero syscalls.
+    const ShmWait wait{link->canary.fd(), config_.peer_timeout_ms};
+    std::uint8_t* dst = link->shm.send.begin_publish(wait);
+    const std::size_t bytes = gather_halo(tag, atoms, dst);
+    link->shm.send.commit_publish(tag, bytes);
     pack_s_ += since(pack_start);
   }
-  pump_transport();
 }
 
 void RankWorker::consume_halo(Tag tag, int radius) {
-  const auto pairs = halo_pairs(strips_, radius);
   const std::size_t per_atom =
       tag == Tag::kHaloState ? 6 * sizeof(float) : sizeof(float);
-
-  if (config_.transport == HaloTransport::kSocket) {
-    const auto wire_start = Clock::now();
-    const auto results = mx_.drain(config_.peer_timeout_ms);
-    exchange_s_ += since(wire_start);
-    mx_out_.clear();
-
-    std::size_t idx = 0;
-    for (const auto& [i, j] : pairs) {
-      if (i != config_.rank && j != config_.rank) continue;
-      const int other = i == config_.rank ? j : i;
-      const RowSpan in = halo_rows(strips_, other, config_.rank, radius);
-      WSMD_REQUIRE(idx < results.size(),
-                   "dist: missing halo reply from rank " << other);
-      const auto unpack_start = Clock::now();
-      Unpacker u(results[idx]);
-      const auto values = u.get_array<float>();
-      const auto atoms = atoms_in_rows(md_.mapping(), in.lo, in.hi);
-      WSMD_REQUIRE(values.size() * sizeof(float) == atoms.size() * per_atom,
-                   "dist: halo size mismatch from rank "
-                       << other << " (" << values.size() * sizeof(float)
-                       << " vs " << atoms.size() * per_atom << " bytes)");
-      scatter_halo(tag, atoms,
-                   reinterpret_cast<const std::uint8_t*>(values.data()));
-      unpack_s_ += since(unpack_start);
-      ++idx;
-    }
-    return;
-  }
-
-  for (const auto& [i, j] : pairs) {
+  for (const auto& [i, j] : halo_pairs(strips_, radius)) {
     if (i != config_.rank && j != config_.rank) continue;
     const int other = i == config_.rank ? j : i;
     PeerLink* link = peer_link(other);
     WSMD_REQUIRE(link != nullptr, "dist: no link to peer rank " << other);
     const RowSpan in = halo_rows(strips_, other, config_.rank, radius);
 
-    const ShmWait wait{link->channel.fd(), config_.peer_timeout_ms};
-    const auto wire_start = Clock::now();
-    std::size_t bytes = 0;
-    const std::uint8_t* src = link->shm.recv.acquire(tag, bytes, wait);
-    exchange_s_ += since(wire_start);
-
-    const auto unpack_start = Clock::now();
+    auto t = Clock::now();
     const auto atoms = atoms_in_rows(md_.mapping(), in.lo, in.hi);
-    WSMD_REQUIRE(bytes == atoms.size() * per_atom,
-                 "dist: halo size mismatch from rank "
-                     << other << " (" << bytes << " vs "
-                     << atoms.size() * per_atom << " bytes)");
+    unpack_s_ += since(t);
+
+    const ShmWait wait{link->canary.fd(), config_.peer_timeout_ms};
+    t = Clock::now();
+    const std::uint8_t* src =
+        link->shm.recv.acquire(tag, atoms.size() * per_atom, wait);
+    exchange_s_ += since(t);
+
+    t = Clock::now();
     scatter_halo(tag, atoms, src);
     link->shm.recv.release();
-    unpack_s_ += since(unpack_start);
-  }
-}
-
-void RankWorker::pump_transport() {
-  if (config_.transport == HaloTransport::kSocket && !mx_.empty()) {
-    mx_.post();
+    unpack_s_ += since(t);
   }
 }
 
@@ -391,7 +334,6 @@ void RankWorker::do_step() {
 
   t = Clock::now();
   for_region(rect(src_lo, src_hi), density);
-  pump_transport();
   for_region(rect(f_lo, f_hi), force);
   const double overlapped_phase1 = since(t);
   busy_s_ += overlapped_phase1;
@@ -421,7 +363,6 @@ void RankWorker::do_step() {
   t = Clock::now();
   const auto acc = md_.reduce_region_raw(strip_, ws_);
   const double kinetic = md_.kinetic_energy_region(strip_);
-  pump_transport();
   const double overlapped_phase2 = since(t);
   busy_s_ += overlapped_phase2;
   overlap_s_ += overlapped_phase2;

@@ -13,17 +13,16 @@
 /// committed positions+velocities after the commit (radius b+1, one row
 /// of slack so an atom-swap migration never exposes a stale ghost).
 ///
-/// Halo payloads travel either through per-pair shared-memory rings
-/// (`dist.transport = shm`, the default — see shm_channel.hpp) or over
-/// the peer sockets (`socket`). Either way the step pipeline overlaps
-/// communication with compute: the strip splits into boundary rows (the
-/// rows peers read, and the rows that read ghost rows) and interior rows;
-/// outgoing halos are published as soon as their boundary rows are
-/// computed, interior tiles sweep while the halos are in flight, and the
-/// incoming halos are consumed only when the boundary tiles finally need
-/// them. The split is free of numerical consequence: the phase kernels
-/// guarantee results bitwise independent of the shard decomposition, and
-/// the energy reductions keep their strip-wide fixed order.
+/// Halo payloads travel through per-pair shared-memory rings (see
+/// shm_channel.hpp), and the step pipeline overlaps them with compute: the
+/// strip splits into boundary rows (the rows peers read, and the rows that
+/// read ghost rows) and interior rows; outgoing halos are published as
+/// soon as their boundary rows are computed, interior tiles sweep while
+/// the peers catch up, and the incoming halos are consumed only when the
+/// boundary tiles finally need them. The split is free of numerical
+/// consequence: the phase kernels guarantee results bitwise independent of
+/// the shard decomposition, and the energy reductions keep their
+/// strip-wide fixed order.
 ///
 /// Per-atom state therefore evolves bitwise identically to the serial
 /// engine — every value an atom's update reads (neighbor positions, F',
@@ -34,9 +33,8 @@
 /// Teardown: a clean run ends with kShutdown -> kBye -> _Exit(0). If the
 /// coordinator dies first, the control socket EOFs and the rank exits
 /// quietly; if a *peer* dies mid-exchange, the rank exits nonzero and the
-/// failure cascades to the coordinator as EOFs. On the shm tier a dead
-/// peer is caught by the ring wait's socket canary (PeerClosedError), so
-/// detection latency matches the socket tier.
+/// failure cascades to the coordinator as EOFs. A dead peer is caught by
+/// the ring wait's socket canary (PeerClosedError) within milliseconds.
 
 #include <utility>
 #include <vector>
@@ -61,24 +59,21 @@ struct RankWorkerConfig {
   /// rank is `kill_rank` (deck keys dist.kill_rank / dist.kill_step).
   int kill_rank = -1;
   long kill_step = 0;
-  /// Which tier carries halo payloads (deck key dist.transport).
-  HaloTransport transport = HaloTransport::kShm;
 };
 
-/// Everything one rank holds toward one peer: the socket (halo carrier on
-/// the socket tier; control/death canary on the shm tier) and, on the shm
-/// tier, the pair's ring views.
+/// Everything one rank holds toward one halo peer: the pair's ring views
+/// and the socket the ring waits watch for the peer's death (no frame
+/// ever crosses it).
 struct PeerLink {
   int rank = -1;
-  Channel channel;
+  Channel canary;
   ShmHalo shm;
 };
 
 class RankWorker {
  public:
   /// `md` is the forked copy of the coordinator's template engine; the
-  /// worker mutates it freely. `peers[i]` links to a peer rank, in
-  /// ascending rank order.
+  /// worker mutates it freely. `peers` holds one link per halo peer.
   RankWorker(core::WseMd& md, RankWorkerConfig config, Channel control,
              std::vector<PeerLink> peers);
 
@@ -89,16 +84,12 @@ class RankWorker {
   void handshake();
   void do_step();
   void do_eval_pe();
-  /// Pack this rank's halo rows at `radius` and send them to every peer:
-  /// shm rings publish immediately (gathered straight into the slot);
-  /// socket exchanges are posted on a MultiExchange and drained later.
+  /// Gather this rank's halo rows at `radius` straight into each peer's
+  /// ring slot and publish them.
   void publish_halo(Tag tag, int radius);
   /// Receive and scatter the peers' halo rows posted by the matching
   /// publish_halo. Blocks until all are in.
   void consume_halo(Tag tag, int radius);
-  /// Nonblocking socket-exchange progress between compute tiles (no-op on
-  /// the shm tier, where publish completes eagerly).
-  void pump_transport();
   /// Gather halo values for `atoms` into `dst` (F': 1 float/atom; state:
   /// 6 floats/atom). Returns the byte count.
   std::size_t gather_halo(Tag tag, const std::vector<std::uint32_t>& atoms,
@@ -121,11 +112,6 @@ class RankWorker {
   core::ShardRect strip_;
   engine::ShardPool pool_;
   core::StepWorkspace ws_;
-
-  // In-flight socket-tier exchange (between publish_halo and
-  // consume_halo): the state machine plus its pinned send buffers.
-  MultiExchange mx_;
-  std::vector<std::vector<std::uint8_t>> mx_out_;
 
   // Cumulative wall-clock accounting reported in every StepRecord.
   double busy_s_ = 0.0;

@@ -53,9 +53,9 @@ void futex_wake_all(std::atomic<std::uint32_t>* word) {
             INT_MAX, nullptr, nullptr, 0);
 }
 
-/// Nonblocking dead-peer check between futex chunks: an EOF on the
-/// (otherwise idle) peer socket means the process this wait depends on is
-/// gone — fail now, not at dist.timeout.
+/// Nonblocking dead-peer check between futex chunks: an EOF on the pair's
+/// canary socket (no frame ever crosses it) means the process this wait
+/// depends on is gone — fail now, not at dist.timeout.
 void check_peer_alive(const ShmWait& wait, const char* what) {
   if (wait.peer_fd < 0) return;
   pollfd p{wait.peer_fd, POLLIN, 0};
@@ -71,9 +71,8 @@ void check_peer_alive(const ShmWait& wait, const char* what) {
       throw PeerClosedError("dist shm: peer closed while waiting for " +
                             std::string(what));
     }
-    // r > 0: a queued frame for a later (socket-plane) operation — not
-    // ours to consume; r < 0/EAGAIN: spurious readiness. Either way the
-    // peer is alive.
+    // r > 0 (stray bytes, left unread) or r < 0 (EAGAIN, spurious
+    // readiness): either way the peer is alive.
   }
 }
 
@@ -192,7 +191,7 @@ void ShmRing::publish(Tag tag, const void* payload, std::size_t size,
   commit_publish(tag, size);
 }
 
-const std::uint8_t* ShmRing::acquire(Tag expect, std::size_t& size,
+const std::uint8_t* ShmRing::acquire(Tag expect, std::size_t expect_bytes,
                                      const ShmWait& wait) {
   WSMD_REQUIRE(valid(), "dist shm: acquire on an empty ring view");
   WSMD_REQUIRE(!held_, "dist shm: acquire without releasing the last slot");
@@ -216,11 +215,12 @@ const std::uint8_t* ShmRing::acquire(Tag expect, std::size_t& size,
                          std::to_string(tag) + " (expected " +
                          std::to_string(static_cast<int>(expect)) + ")");
   }
-  size = static_cast<std::size_t>(
-      header_->slot_size[slot].load(std::memory_order_relaxed));
-  if (size > slot_bytes_) {
-    throw TransportError("dist shm: corrupt slot size " +
-                         std::to_string(size));
+  const std::uint64_t size =
+      header_->slot_size[slot].load(std::memory_order_relaxed);
+  if (size != expect_bytes || size > slot_bytes_) {
+    throw TransportError("dist shm: message of " + std::to_string(size) +
+                         " bytes (expected " + std::to_string(expect_bytes) +
+                         ", slot holds " + std::to_string(slot_bytes_) + ")");
   }
   held_ = true;
   return slots_ + slot * slot_bytes_;

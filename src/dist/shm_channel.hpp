@@ -1,12 +1,13 @@
 #pragma once
 
 /// \file shm_channel.hpp
-/// Shared-memory halo transport between rank peers (`dist.transport = shm`).
+/// Shared-memory halo rings between rank peers: the only halo carrier of
+/// the `ranks:` backend.
 ///
-/// For every neighbor pair the coordinator creates one POSIX shm segment
-/// *before* forking, maps it MAP_SHARED, and immediately shm_unlinks it —
-/// the forked ranks inherit the live mapping, and no /dev/shm entry can
-/// outlive construction, however a rank dies (SIGKILL included). The
+/// For every halo pair the coordinator creates one POSIX shm segment (next
+/// to the pair's canary socketpair) *before* forking, maps it MAP_SHARED,
+/// and immediately shm_unlinks it — the forked ranks inherit the live
+/// mapping, and no /dev/shm entry can outlive construction, however a rank dies (SIGKILL included). The
 /// segment holds two single-producer / single-consumer rings, one per
 /// direction, each with two fixed-size slots: halo payloads are memcpy'd
 /// once by the producer and read *in place* by the consumer — zero socket
@@ -28,7 +29,8 @@
 ///     is being written, 2n + 2 once published. A consumer that sees
 ///     anything but 2n + 2 after acquiring message n caught a torn or
 ///     out-of-protocol write and fails loudly (TransportError) instead of
-///     unpacking garbage.
+///     unpacking garbage. The slot's tag and byte count must match what
+///     the consumer expects too.
 ///   - Publishes release, consumes acquire: the payload bytes a consumer
 ///     reads are ordered after the producer's memcpy on every
 ///     architecture, not just x86.
@@ -39,8 +41,8 @@
 /// microseconds, which keeps the rings fast even when ranks share cores
 /// (spinning there would starve the very peer being waited on). The
 /// sleeping side registers in a waiter count so the fast path pays no
-/// wake syscall. Waits honor the same `dist.timeout` deadline the socket
-/// transport uses (TimeoutError past the deadline) and re-check the peer
+/// wake syscall. Waits honor the same `dist.timeout` deadline the control
+/// plane uses (TimeoutError past the deadline) and re-check the peer
 /// socket fd between futex timeout chunks, so a dead peer surfaces as
 /// PeerClosedError within milliseconds instead of at dist.timeout.
 
@@ -116,10 +118,13 @@ class ShmRing {
   /// payload size.
   void commit_publish(Tag tag, std::size_t size);
 
-  /// Consumer: wait for the next message, check its tag, and return a
-  /// pointer to the payload *in shared memory* (valid until release()).
-  /// Unpack directly from it; there is no intermediate copy to invalidate.
-  const std::uint8_t* acquire(Tag expect, std::size_t& size,
+  /// Consumer: wait for the next message, check that it carries `expect`
+  /// and exactly `expect_bytes` of payload (the consumer always knows the
+  /// halo size it needs), and return a pointer to the payload *in shared
+  /// memory* (valid until release()). Unpack directly from it; there is no
+  /// intermediate copy to invalidate. A slot whose sequence, tag or size
+  /// disagrees throws TransportError.
+  const std::uint8_t* acquire(Tag expect, std::size_t expect_bytes,
                               const ShmWait& wait);
 
   /// Consumer: hand the slot back to the producer after the in-place read.
@@ -127,6 +132,10 @@ class ShmRing {
   /// the slot early (protocol violation) is caught here, after the fact,
   /// exactly like a torn seqlock read.
   void release();
+
+  /// The shared control block, for fault-injection tests that corrupt a
+  /// live slot header.
+  shm_detail::RingHeader* header() const { return header_; }
 
  private:
   shm_detail::RingHeader* header_ = nullptr;

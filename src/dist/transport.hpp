@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file transport.hpp
-/// Framed message transport between the coordinator and rank processes
-/// (and between rank peers) over AF_UNIX stream socketpairs.
+/// Framed message transport of the coordinator <-> rank control plane over
+/// AF_UNIX stream socketpairs. Halo payloads never ride it: they go
+/// through the per-pair shared-memory rings (shm_channel.hpp), and the
+/// rank <-> rank sockets only serve as those rings' dead-peer canary.
 ///
 /// Wire format: every message is one frame — a fixed header
 /// {magic "WSMD", protocol version, 16-bit tag, 64-bit payload length}
@@ -15,10 +17,13 @@
 /// that sees EOF throws PeerClosedError (how a dead rank is detected —
 /// the kernel closes its socket ends, so failure propagates to every
 /// peer without heartbeat traffic); a deadline miss throws TimeoutError
-/// (how a *hung* rank is detected). `exchange()` drives a send and a
-/// receive on the same fd simultaneously (POLLIN|POLLOUT state machine),
-/// so two peers can exchange halo slabs larger than the kernel socket
-/// buffers without deadlocking on write-write.
+/// (how a *hung* rank is detected).
+///
+/// Every malformed frame — bad magic or version, a wrong tag, a length
+/// past kMaxFrameBytes, a payload of the wrong size for its body, an
+/// Unpacker read past the end — throws a TransportError subclass, so the
+/// coordinator attributes it to the sending rank like any other transport
+/// failure.
 
 #include <cstdint>
 #include <cstring>
@@ -49,15 +54,17 @@ class TimeoutError : public TransportError {
 constexpr std::uint32_t kMagic = 0x444D5357;  // "WSMD" little-endian
 constexpr std::uint16_t kProtocolVersion = 1;
 
-/// Which tier carries the rank <-> rank halo payloads (deck key
-/// `dist.transport`). The AF_UNIX socket plane always exists — it is the
-/// control plane and the failure detector — the choice is only whether
-/// halo payloads ride it too (kSocket) or go through the per-pair POSIX
-/// shared-memory rings (kShm, the default; see shm_channel.hpp).
-enum class HaloTransport { kSocket, kShm };
+/// Largest payload a frame may announce. The biggest frame the protocol
+/// sends is the kRestore state scatter (pack_saved_state: three Vec3d
+/// arrays per atom plus one core slot per core, ~80 bytes per atom), so
+/// 16 GiB covers a ~200M-atom system — 250x the paper's 800k-atom slab.
+/// DistributedEngine refuses a system whose scatter would not fit. A
+/// header announcing more is corrupt and is rejected before anything is
+/// allocated.
+constexpr std::uint64_t kMaxFrameBytes = std::uint64_t{1} << 34;
 
 /// Message tags. Coordinator <-> rank control plane and rank <-> rank halo
-/// plane share one numbering so a crossed wire fails loudly.
+/// rings share one numbering so a crossed wire fails loudly.
 enum class Tag : std::uint16_t {
   kHello = 1,       ///< rank -> coordinator: Handshake
   kHelloAck = 2,    ///< coordinator -> rank: Handshake echo
@@ -125,14 +132,9 @@ class Channel {
   std::vector<std::uint8_t> recv(Tag expect, int timeout_ms) const;
 
   /// Receive one frame of any tag (the rank command loop's dispatcher).
+  /// Past 64 MiB the payload buffer grows with the bytes that actually
+  /// arrive, so a corrupt length costs little more than the peer sent.
   std::vector<std::uint8_t> recv_any(Tag& tag, int timeout_ms) const;
-
-  /// Full-duplex: send `out` while receiving a frame tagged `tag` from the
-  /// same peer. Required for the pairwise halo exchange — both sides send
-  /// first, and slabs can exceed the socket buffer.
-  std::vector<std::uint8_t> exchange(Tag tag, const void* out,
-                                     std::size_t out_size,
-                                     int timeout_ms) const;
 
   /// Typed helpers for trivially-copyable bodies.
   template <typename T>
@@ -144,10 +146,12 @@ class Channel {
   T recv_pod(Tag expect, int timeout_ms) const {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::vector<std::uint8_t> bytes = recv(expect, timeout_ms);
-    WSMD_REQUIRE(bytes.size() == sizeof(T),
-                 "dist: frame size mismatch for tag "
-                     << static_cast<int>(expect) << " (" << bytes.size()
-                     << " vs " << sizeof(T) << ")");
+    if (bytes.size() != sizeof(T)) {
+      throw TransportError("dist: frame size mismatch for tag " +
+                           std::to_string(static_cast<int>(expect)) + " (" +
+                           std::to_string(bytes.size()) + " vs " +
+                           std::to_string(sizeof(T)) + ")");
+    }
     T body;
     std::memcpy(&body, bytes.data(), sizeof(T));
     return body;
@@ -164,45 +168,6 @@ struct ChannelPair {
 };
 ChannelPair make_channel_pair();
 
-/// N concurrent full-duplex exchanges — `Channel::exchange`'s
-/// POLLIN|POLLOUT state machine generalized over many fds in one poll
-/// loop. A rank `add()`s one exchange per halo neighbor, then either
-/// `drain()`s them to completion or interleaves nonblocking `post()`
-/// passes with compute: every registered send makes progress whenever its
-/// socket has buffer space, so neighbor latencies overlap instead of
-/// serializing pair by pair, and the no-write-write-deadlock property of
-/// the single-fd exchange carries over unchanged.
-///
-/// The caller keeps each `out` buffer alive and unmodified until drain()
-/// returns; received payloads come back in add() order.
-class MultiExchange {
- public:
-  MultiExchange();
-  ~MultiExchange();
-  MultiExchange(MultiExchange&&) noexcept;
-  MultiExchange& operator=(MultiExchange&&) noexcept;
-
-  /// Register a pairwise exchange on `ch`: send `out`, receive one frame
-  /// that must carry the same `tag`.
-  void add(const Channel& ch, Tag tag, const void* out, std::size_t out_size);
-
-  /// One nonblocking progress pass: push sends into kernel buffers and
-  /// pull any arrived bytes, without ever sleeping. Returns true when all
-  /// registered exchanges are complete.
-  bool post();
-
-  /// Complete every registered exchange (polling with a deadline like the
-  /// blocking Channel operations) and return the received payloads in
-  /// add() order. Resets the object for reuse.
-  std::vector<std::vector<std::uint8_t>> drain(int timeout_ms);
-
-  bool empty() const { return ops_.empty(); }
-
- private:
-  struct Op;
-  std::vector<Op> ops_;
-};
-
 /// Serialization scratch: append/extract PODs and POD arrays to a byte
 /// buffer in declaration order. Writer and reader are the same build, so
 /// layout agreement is by construction.
@@ -211,31 +176,37 @@ class Packer {
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    append(&v, sizeof(T));
   }
   template <typename T>
   void put_array(const T* data, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
     put(static_cast<std::uint64_t>(count));
-    const auto* p = reinterpret_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + count * sizeof(T));
+    append(data, count * sizeof(T));
   }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   void clear() { bytes_.clear(); }
 
  private:
+  /// Out of line: inlined vector::insert trips GCC 12's -Warray-bounds
+  /// false positive, which -Werror turns into a build failure.
+  void append(const void* data, std::size_t n);
+
   std::vector<std::uint8_t> bytes_;
 };
 
+/// The reading side of Packer. A read past the end of the payload — a
+/// truncated frame or a corrupt array count — throws TransportError
+/// before anything is allocated.
 class Unpacker {
  public:
   explicit Unpacker(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
   template <typename T>
   T get() {
     static_assert(std::is_trivially_copyable_v<T>);
-    WSMD_REQUIRE(pos_ + sizeof(T) <= bytes_.size(),
-                 "dist: truncated frame payload");
+    if (sizeof(T) > bytes_.size() - pos_) {
+      throw TransportError("dist: truncated frame payload");
+    }
     T v;
     std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -243,9 +214,14 @@ class Unpacker {
   }
   template <typename T>
   std::vector<T> get_array() {
-    const auto count = static_cast<std::size_t>(get<std::uint64_t>());
-    WSMD_REQUIRE(pos_ + count * sizeof(T) <= bytes_.size(),
-                 "dist: truncated frame payload");
+    const std::uint64_t count = get<std::uint64_t>();
+    // Divide rather than multiply: count * sizeof(T) can wrap.
+    if (count > (bytes_.size() - pos_) / sizeof(T)) {
+      throw TransportError("dist: truncated frame payload (array of " +
+                           std::to_string(count) + " elements, " +
+                           std::to_string(bytes_.size() - pos_) +
+                           " bytes left)");
+    }
     std::vector<T> out(count);
     std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);

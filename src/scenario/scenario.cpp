@@ -167,7 +167,7 @@ using Ref = std::variant<int*, long*, unsigned long*, unsigned long long*,
 
 enum Kind {
   kInt,        ///< one integer in `domain` ("lo.." or "lo..hi")
-  kReal,       ///< one finite number
+  kReal,       ///< one finite number, in `domain` ("lo..hi") when given
   kPositive,   ///< one finite number > 0
   kFraction,   ///< one finite number in [0, 1)
   kChoice,     ///< one of `domain` ("a|b|c"); an integer field stores its index
@@ -242,10 +242,12 @@ constexpr Key kKeys[] = {
     {"swap_interval", kInt, F(swap_interval), "0..", kPinned},
     {"rescale_interval", kInt, F(rescale_interval), "1..", kPinned},
     {"seed", kInt, F(seed), "0.."},
-    // Written whenever it applies: a checkpoint pins its run's carrier.
-    {"dist.transport", kChoice, F(dist_transport), "shm|socket", 0,
+    // Written whenever it applies: every ranks checkpoint carries it, and
+    // shm is the only halo carrier there is.
+    {"dist.transport", kChoice, F(dist_transport), "shm", 0, {{kRanks}}},
+    // Counted in whole milliseconds, which must be >= 1 and fit an int.
+    {"dist.timeout", kReal, F(dist_timeout_s), "0.001..2147483", kIfSet,
      {{kRanks}}},
-    {"dist.timeout", kPositive, F(dist_timeout_s), "", kIfSet, {{kRanks}}},
     {"dist.kill_rank", kInt, F(dist_kill_rank), "0..", kIfSet,
      {{kRanks}, {kPartner, "dist.kill_step"}}},
     {"dist.kill_step", kInt, F(dist_kill_step), "1..", kIfSet,
@@ -396,6 +398,11 @@ void store(const Deck& deck, const DeckEntry& e, const Key& k, Scenario& sc) {
     case kPositive:
     case kFraction: {
       const double v = parse_double_token(deck, e, one());
+      double real_lo = -HUGE_VAL, real_hi = HUGE_VAL;
+      if (std::sscanf(k.domain, "%lf..%lf", &real_lo, &real_hi) == 2 &&
+          (v < real_lo || v > real_hi)) {
+        bad_entry(deck, e, format("want a number in %s", k.domain));
+      }
       if (k.kind == kPositive && v <= 0.0) bad_entry(deck, e, "want > 0");
       if (k.kind == kFraction && (v < 0.0 || v >= 1.0)) {
         bad_entry(deck, e, "want [0, 1)");
@@ -808,11 +815,12 @@ std::unique_ptr<engine::Engine> build_engine(
   config.threads = bs.threads;
   config.ranks = bs.ranks;
   config.rank_threads = bs.threads;
-  config.dist_timeout_ms = static_cast<int>(sc.dist_timeout_s * 1000.0);
+  // The dist.timeout row bounds the rounded count to 1..INT_MAX ms.
+  config.dist_timeout_ms =
+      static_cast<int>(std::lround(sc.dist_timeout_s * 1000.0));
   config.dist_kill_rank = sc.dist_kill_rank;
   config.dist_kill_step = sc.dist_kill_step;
   config.dist_scratch = scratch_dir;
-  config.dist_transport = sc.dist_transport;
   return engine::make_engine(bs.backend, s, std::move(potential), config);
 }
 

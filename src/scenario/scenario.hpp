@@ -38,14 +38,15 @@
 ///                                    (N shard threads per rank; see
 ///                                    src/dist/)
 ///   dt, swap_interval, rescale_interval, seed
-///   dist.transport = shm|socket    — ranks: backends only: halo payload
-///                                    carrier — per-pair POSIX shared-memory
-///                                    rings (default) or the AF_UNIX peer
-///                                    sockets; trajectories are bitwise
-///                                    transport-invariant
+///   dist.transport = shm           — ranks: backends only: the halo
+///                                    carrier, per-pair POSIX shared-memory
+///                                    rings — the only one; the key stays
+///                                    so decks and checkpoints that name
+///                                    it keep parsing
 ///   dist.timeout = S               — ranks: backends only: per-message
 ///                                    send/recv deadline in seconds before
-///                                    a rank is declared dead (default 300)
+///                                    a rank is declared dead (default 300;
+///                                    0.001..2147483, whole milliseconds)
 ///   dist.kill_rank = R             — fault drill (ranks: only): rank R
 ///   dist.kill_step = K               exits hard before its K-th step, so
 ///                                    the dead-rank path is rehearsable
@@ -167,7 +168,7 @@ struct Scenario {
   /// Distributed (ranks:) backend knobs; ignored elsewhere. The kill pair
   /// is the dead-rank fault drill (dist::DistributedConfig): rank
   /// `dist_kill_rank` exits hard before its `dist_kill_step`-th step.
-  std::string dist_transport = "shm";  ///< halo carrier: "shm" | "socket"
+  std::string dist_transport = "shm";  ///< halo carrier: only "shm"
   double dist_timeout_s = 300.0;  ///< per-message deadline before a rank
                                   ///< is declared dead
   int dist_kill_rank = -1;        ///< -1 = drill off

@@ -58,9 +58,8 @@ TEST(ShmRing, RoundTripsPayloadsThroughBothDirections) {
   f.a.send.publish(Tag::kHaloFprime, sent.data(), sent.size() * sizeof(float),
                    patient());
 
-  std::size_t size = 0;
+  const std::size_t size = sent.size() * sizeof(float);
   const std::uint8_t* p = f.b.recv.acquire(Tag::kHaloFprime, size, patient());
-  ASSERT_EQ(size, sent.size() * sizeof(float));
   std::vector<float> got(sent.size());
   std::memcpy(got.data(), p, size);
   f.b.recv.release();
@@ -70,9 +69,9 @@ TEST(ShmRing, RoundTripsPayloadsThroughBothDirections) {
   const auto back = payload_of(2, 8);
   f.b.send.publish(Tag::kHaloState, back.data(), back.size() * sizeof(float),
                    patient());
-  p = f.a.recv.acquire(Tag::kHaloState, size, patient());
-  ASSERT_EQ(size, back.size() * sizeof(float));
-  EXPECT_EQ(std::memcmp(p, back.data(), size), 0);
+  p = f.a.recv.acquire(Tag::kHaloState, back.size() * sizeof(float),
+                       patient());
+  EXPECT_EQ(std::memcmp(p, back.data(), back.size() * sizeof(float)), 0);
   f.a.recv.release();
 }
 
@@ -84,10 +83,9 @@ TEST(ShmRing, WrapsAroundTheTwoSlotsForManyMessages) {
     const auto sent = payload_of(n, 4 + static_cast<std::size_t>(n % 3));
     f.a.send.publish(n % 2 == 0 ? Tag::kHaloFprime : Tag::kHaloState,
                      sent.data(), sent.size() * sizeof(float), patient());
-    std::size_t size = 0;
+    const std::size_t size = sent.size() * sizeof(float);
     const std::uint8_t* p = f.b.recv.acquire(
         n % 2 == 0 ? Tag::kHaloFprime : Tag::kHaloState, size, patient());
-    ASSERT_EQ(size, sent.size() * sizeof(float)) << "message " << n;
     EXPECT_EQ(std::memcmp(p, sent.data(), size), 0) << "message " << n;
     f.b.recv.release();
   }
@@ -99,9 +97,7 @@ TEST(ShmRing, EmptyPayloadsKeepTheSequenceAdvancing) {
   RingFixture f;
   for (int n = 0; n < 8; ++n) {
     f.a.send.publish(Tag::kHaloFprime, nullptr, 0, patient());
-    std::size_t size = 99;
-    f.b.recv.acquire(Tag::kHaloFprime, size, patient());
-    EXPECT_EQ(size, 0u);
+    f.b.recv.acquire(Tag::kHaloFprime, 0, patient());
     f.b.recv.release();
   }
 }
@@ -114,9 +110,8 @@ TEST(ShmRing, ZeroCopyPublishGathersDirectlyIntoTheSlot) {
   std::memcpy(dst, sent.data(), sent.size() * sizeof(float));
   f.a.send.commit_publish(Tag::kHaloState, sent.size() * sizeof(float));
 
-  std::size_t size = 0;
+  const std::size_t size = sent.size() * sizeof(float);
   const std::uint8_t* p = f.b.recv.acquire(Tag::kHaloState, size, patient());
-  ASSERT_EQ(size, sent.size() * sizeof(float));
   EXPECT_EQ(std::memcmp(p, sent.data(), size), 0);
   f.b.recv.release();
 }
@@ -136,8 +131,7 @@ TEST(ShmRing, FullRingTimesOutWhenTheConsumerStalls) {
 
 TEST(ShmRing, EmptyRingTimesOutWhenTheProducerStalls) {
   RingFixture f;
-  std::size_t size = 0;
-  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, size, impatient()),
+  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, 4, impatient()),
                TimeoutError);
 }
 
@@ -164,8 +158,7 @@ TEST(ShmRing, TornWriteIsCaughtByTheSlotSequence) {
   // Simulate the producer having started rewriting message 0's slot
   // before the consumer got to it: sequence shows "writing message 2".
   header.slot_seq[0].store(2 * 2 + 1);
-  std::size_t size = 0;
-  EXPECT_THROW(consumer.acquire(Tag::kHaloFprime, size, patient()),
+  EXPECT_THROW(consumer.acquire(Tag::kHaloFprime, sizeof(x), patient()),
                TransportError);
 }
 
@@ -179,8 +172,7 @@ TEST(ShmRing, RewriteDuringInPlaceReadIsCaughtAtRelease) {
 
   const float x = 4.0f;
   producer.publish(Tag::kHaloFprime, &x, sizeof(x), patient());
-  std::size_t size = 0;
-  consumer.acquire(Tag::kHaloFprime, size, patient());
+  consumer.acquire(Tag::kHaloFprime, sizeof(x), patient());
   // The producer must not touch the slot until release() advances tail; a
   // sequence bump during the in-place read is a protocol violation.
   header.slot_seq[0].store(2 * 2 + 2);
@@ -191,8 +183,17 @@ TEST(ShmRing, UnexpectedTagFailsLoudly) {
   RingFixture f;
   const float x = 5.0f;
   f.a.send.publish(Tag::kHaloState, &x, sizeof(x), patient());
-  std::size_t size = 0;
-  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, size, patient()),
+  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, sizeof(x), patient()),
+               TransportError);
+}
+
+TEST(ShmRing, UnexpectedSizeFailsLoudly) {
+  // The consumer knows the halo it needs: a message of any other size is
+  // a broken peer, not data to unpack.
+  RingFixture f;
+  const float x[2] = {5.0f, 6.0f};
+  f.a.send.publish(Tag::kHaloFprime, x, sizeof(x), patient());
+  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, sizeof(float), patient()),
                TransportError);
 }
 
@@ -205,9 +206,8 @@ TEST(ShmRing, DeadPeerSurfacesThroughTheSocketCanary) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   ::close(sv[1]);  // the "peer" dies
   ShmWait wait{sv[0], 60'000};
-  std::size_t size = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, size, wait),
+  EXPECT_THROW(f.b.recv.acquire(Tag::kHaloFprime, 4, wait),
                PeerClosedError);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
   ::close(sv[0]);
@@ -228,11 +228,10 @@ TEST(ShmRing, ConcurrentProducerConsumerStreamsWithoutCorruption) {
   });
   int mismatches = 0;
   for (int n = 0; n < kMessages; ++n) {
-    std::size_t size = 0;
-    const std::uint8_t* p = f.b.recv.acquire(Tag::kHaloFprime, size, patient());
     const auto expect = payload_of(n, 64);
-    if (size != expect.size() * sizeof(float) ||
-        std::memcmp(p, expect.data(), size) != 0) {
+    const std::size_t size = expect.size() * sizeof(float);
+    const std::uint8_t* p = f.b.recv.acquire(Tag::kHaloFprime, size, patient());
+    if (std::memcmp(p, expect.data(), size) != 0) {
       ++mismatches;
     }
     f.b.recv.release();
@@ -255,11 +254,9 @@ TEST(ShmPairSegment, NeverLeavesADevShmEntryBehind) {
     auto halo = seg.halo_for(4);
     const float x = 6.0f;
     halo.send.publish(Tag::kHaloFprime, &x, sizeof(x), patient());
-    std::size_t size = 0;
     auto peer = seg.halo_for(5);
-    const std::uint8_t* p = peer.recv.acquire(Tag::kHaloFprime, size,
+    const std::uint8_t* p = peer.recv.acquire(Tag::kHaloFprime, sizeof(x),
                                               patient());
-    ASSERT_EQ(size, sizeof(float));
     float got;
     std::memcpy(&got, p, sizeof(got));
     EXPECT_EQ(got, 6.0f);
@@ -287,9 +284,8 @@ TEST(ShmPairSegment, HaloViewsAreMirroredBetweenTheTwoRanks) {
   auto three = seg.halo_for(3);
   const float x = 8.0f;
   two.send.publish(Tag::kHaloState, &x, sizeof(x), patient());
-  std::size_t size = 0;
-  const std::uint8_t* p = three.recv.acquire(Tag::kHaloState, size, patient());
-  ASSERT_EQ(size, sizeof(float));
+  const std::uint8_t* p =
+      three.recv.acquire(Tag::kHaloState, sizeof(x), patient());
   EXPECT_EQ(std::memcmp(p, &x, sizeof(x)), 0);
   three.recv.release();
   EXPECT_THROW(seg.halo_for(9), wsmd::Error);

@@ -723,6 +723,7 @@ TEST(DeckTable, EveryKeyRoundTripsThroughTheCanonicalDeck) {
     const char* key;
     const char* value;
     const char* context;
+    bool only_value = false;  ///< the key's one legal value (its default)
   };
   const Case cases[] = {
       {"name", "rt_name", ""},
@@ -740,7 +741,7 @@ TEST(DeckTable, EveryKeyRoundTripsThroughTheCanonicalDeck) {
       {"swap_interval", "7", ""},
       {"rescale_interval", "3", ""},
       {"seed", "77", ""},
-      {"dist.transport", "socket", "backend = ranks:2\n"},
+      {"dist.transport", "shm", "backend = ranks:2\n", true},
       {"dist.timeout", "12.5", "backend = ranks:2\n"},
       {"dist.kill_rank", "1", "backend = ranks:2\ndist.kill_step = 3\n"},
       {"dist.kill_step", "4", "backend = ranks:2\ndist.kill_rank = 0\n"},
@@ -791,7 +792,9 @@ TEST(DeckTable, EveryKeyRoundTripsThroughTheCanonicalDeck) {
   const Scenario defaults;
   for (const auto& c : cases) {
     SCOPED_TRACE(c.key);
-    EXPECT_NE(deck_value(defaults, c.key), c.value) << "not a default";
+    if (!c.only_value) {
+      EXPECT_NE(deck_value(defaults, c.key), c.value) << "not a default";
+    }
     const auto sc = scenario_from_deck(parse_deck_string(
         std::string(c.context) + c.key + " = " + c.value + "\n", "rt.deck"));
     EXPECT_EQ(deck_value(sc, c.key), c.value);
@@ -891,6 +894,38 @@ TEST(DeckTable, NonFiniteRealsAreRejectedWithDeckLineBlame) {
         << what;
     EXPECT_NE(what.find("not a finite number"), std::string::npos) << what;
   }
+}
+
+TEST(DeckTable, DistTimeoutIsBoundedToWholeMillisecondsInAnInt) {
+  // The deadline is counted in milliseconds: at least 1, at most INT_MAX.
+  const auto timeout_s = [](const char* value) {
+    const auto sc = scenario_from_deck(parse_deck_string(
+        std::string("backend = ranks:2\ndist.timeout = ") + value + "\n"));
+    return sc.dist_timeout_s;
+  };
+  EXPECT_DOUBLE_EQ(timeout_s("0.001"), 0.001);
+  EXPECT_DOUBLE_EQ(timeout_s("2147483"), 2147483.0);
+  for (const char* value : {"0.0009", "2147483.5", "3000000", "0", "-1"}) {
+    SCOPED_TRACE(value);
+    const std::string what = parse_error(
+        std::string("backend = ranks:2\ndist.timeout = ") + value + "\n");
+    EXPECT_NE(what.find("t.deck:2"), std::string::npos) << what;
+    EXPECT_NE(what.find("0.001..2147483"), std::string::npos) << what;
+  }
+}
+
+TEST(DeckTable, DistTransportAcceptsOnlyShm) {
+  // The socket halo carrier is gone: naming it is a deck error that says
+  // what is left.
+  const std::string what = parse_error(
+      "backend = ranks:2\ndist.transport = socket\n", "s.deck");
+  EXPECT_NE(what.find("s.deck:2"), std::string::npos) << what;
+  EXPECT_NE(what.find("shm"), std::string::npos) << what;
+  // The exact override the host benchmark passes still parses.
+  Deck deck = parse_deck_string("backend = ranks:4\n");
+  const DeckEntry o = parse_override("dist.transport=shm");
+  deck.set(o.key, o.value);
+  EXPECT_EQ(scenario_from_deck(deck).dist_transport, "shm");
 }
 
 TEST(DeckTable, BackendErrorsBlameTheirDeckLine) {
