@@ -1,7 +1,9 @@
 #include "core/wse_md.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -74,6 +76,11 @@ double WseMd::potential_energy() const {
   return pe_;
 }
 
+void WseMd::adopt_energy(const StepWorkspace& ws) {
+  pe_ = reduce_potential_energy(ws);
+  pe_current_ = true;
+}
+
 double WseMd::reduce_potential_energy(const StepWorkspace& ws) const {
   // Serial row-major reduction of the energy contributions: the summation
   // order (and thus the FP64 result) is independent of how the phases were
@@ -131,6 +138,7 @@ void WseMd::set_positions(const std::vector<Vec3d>& r) {
     wide[i] = Vec3d(positions_.get(i));
   }
   b_ = std::max(b_, mapping_.required_b(wide, rcut_) + 1);
+  cache_.expired = true;
 }
 
 WseMd::SavedState WseMd::save_state() const {
@@ -178,6 +186,7 @@ void WseMd::restore_state(const SavedState& state) {
   // first post-restore thermo row bitwise on the uninterrupted run.
   pe_ = state.potential_energy;
   pe_current_ = true;
+  cache_.expired = true;
 }
 
 void WseMd::thermalize(double temperature_K, Rng& rng) {
@@ -230,14 +239,170 @@ ShardRect WseMd::full_grid() const {
   return ShardRect{0, 0, mapping_.grid_width(), mapping_.grid_height()};
 }
 
+struct WseMd::SieveScratch {
+  std::vector<std::uint32_t> gathered;
+  std::vector<std::uint32_t> skin;      ///< skin-sieved row (overflow rows)
+  std::vector<std::uint32_t> accepted;  ///< accepted row that does not fit
+  std::vector<float> r2;
+};
+
+WseMd::SieveScratch& WseMd::sieve_scratch() const {
+  // Per thread, sized for the whole (2b+1)^2 neighborhood: grown, never
+  // shrunk, so the phase kernels allocate nothing in steady state.
+  thread_local SieveScratch s;
+  const auto span_cells = static_cast<std::size_t>(2 * b_ + 1);
+  const std::size_t cap = span_cells * span_cells - 1 + simd::kPadF32;
+  if (s.r2.size() < cap) {
+    s.gathered.reserve(cap);
+    s.skin.resize(cap);
+    s.accepted.resize(cap);
+    s.r2.resize(cap);
+  }
+  return s;
+}
+
+std::size_t WseMd::sieve_skin_row(int cx, int cy, std::size_t i,
+                                  SieveScratch& s) const {
+  gather_neighborhood(cx, cy, s.gathered);
+  const double r = rcut_ + kSieveSkin;
+  const Vec3f ri = cache_.ref.get(i);
+  return simd::kernels().sieve_f32(
+      cache_.ref.x(), cache_.ref.y(), cache_.ref.z(), ri.x, ri.y, ri.z,
+      s.gathered.data(), s.gathered.size(), sbox_, static_cast<float>(r * r),
+      s.skin.data(), s.r2.data());
+}
+
+std::size_t WseMd::filter_row(const Vec3f& ri, const std::uint32_t* cand,
+                              std::size_t count, std::uint32_t* out,
+                              float* r2) const {
+  const auto rc2 = static_cast<float>(rcut_ * rcut_);
+  if (profile_ != nullptr) {
+    return simd::kernels().sieve_f32(positions_.x(), positions_.y(),
+                                     positions_.z(), ri.x, ri.y, ri.z, cand,
+                                     count, sbox_, rc2, out, r2);
+  }
+  std::size_t m = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t j = cand[k];
+    const Vec3f d = minimum_image_f(ri, positions_.get(j));
+    const float d2 = dot(d, d);
+    if (d2 >= rc2) continue;
+    out[m] = j;
+    r2[m] = d2;
+    ++m;
+  }
+  return m;
+}
+
+std::size_t WseMd::estimate_sieve_stride() const {
+  // Sieve ~1k evenly spaced occupied cores at the skin radius; rows longer
+  // than the sample's largest overflow once and grow the stride.
+  SieveScratch& s = sieve_scratch();
+  const int w = mapping_.grid_width();
+  const std::size_t cores = mapping_.core_count();
+  const std::size_t every = std::max<std::size_t>(1, cores / 1024);
+  std::size_t longest = 0;
+  for (std::size_t c = 0; c < cores; c += every) {
+    const int cx = static_cast<int>(c % static_cast<std::size_t>(w));
+    const int cy = static_cast<int>(c / static_cast<std::size_t>(w));
+    const long a = mapping_.atom_at(cx, cy);
+    if (a < 0) continue;
+    longest = std::max(
+        longest, sieve_skin_row(cx, cy, static_cast<std::size_t>(a), s));
+  }
+  return longest;
+}
+
+void WseMd::start_sieve_epoch() const {
+  const std::size_t n = positions_.size();
+  cache_.ref = positions_;
+  if (cache_.stride == 0) {
+    // The reference is what the sample sieves against.
+    const std::size_t longest = estimate_sieve_stride();
+    cache_.stride = (longest + simd::kPadF32 + simd::kLanesF32 - 1) /
+                    simd::kLanesF32 * simd::kLanesF32;
+  }
+  cache_.idx.reserve_uninit(n * cache_.stride);
+  cache_.count.resize(n);
+  cache_.gathered.resize(n);
+  cache_.epoch_of.resize(n);
+  ++cache_.epoch;
+  ++cache_.builds;
+  telemetry::count("wse.cache_rebuilds");
+  // FP32 margin of the trigger: every subtraction in the two sieves and
+  // in the displacement rounds by at most FLT_EPSILON times the largest
+  // coordinate (or box length) it touches, and the r^2 sums add a few
+  // FLT_EPSILON of r. With M that magnitude at the build, grown by the
+  // skin for the epoch's motion, 8 FLT_EPSILON (M + skin + 2 (rcut +
+  // skin)) covers both pair distances and both displacements with room
+  // to spare.
+  float coord = 0.0f;
+  for (std::size_t a = 0; a < 3; ++a) {
+    const float* p = a == 0 ? cache_.ref.x()
+                            : (a == 1 ? cache_.ref.y() : cache_.ref.z());
+    for (std::size_t i = 0; i < n; ++i) {
+      coord = std::max(coord, std::fabs(p[i]));
+    }
+    if (box_periodic_[a]) coord = std::max(coord, box_len_f_[a]);
+  }
+  const double margin =
+      8.0 * FLT_EPSILON *
+      (static_cast<double>(coord) + kSieveSkin + 2.0 * (rcut_ + kSieveSkin));
+  const double trigger = 0.5 * kSieveSkin - margin;
+  cache_.trigger2 =
+      trigger > 0.0 ? static_cast<float>(trigger * trigger) : -1.0f;
+  cache_.expired = false;
+}
+
+void WseMd::refresh_sieve_cache() const {
+  const std::size_t n = positions_.size();
+  if (cache_.stride > 0 && !cache_.count.empty()) {
+    // A row longer than the stride could hold was filtered from scratch:
+    // grow to fit it (and every row like it) and rebuild.
+    const std::uint32_t longest =
+        *std::max_element(cache_.count.begin(), cache_.count.end());
+    if (longest + simd::kPadF32 > cache_.stride) {
+      cache_.stride = (longest + simd::kPadF32 + simd::kLanesF32 - 1) /
+                      simd::kLanesF32 * simd::kLanesF32;
+      cache_.expired = true;
+    }
+  }
+  if (!cache_.expired) {
+    // Displacement trigger: FP32 minimum image against the reference. One
+    // step never moves an atom half a box, so a single fold suffices.
+    bool moved = false;
+    const float* px = positions_.x();
+    const float* py = positions_.y();
+    const float* pz = positions_.z();
+    const float* rx = cache_.ref.x();
+    const float* ry = cache_.ref.y();
+    const float* rz = cache_.ref.z();
+    float len[3], half[3];
+    for (std::size_t a = 0; a < 3; ++a) {
+      len[a] = box_periodic_[a] ? box_len_f_[a] : 0.0f;
+      half[a] = box_periodic_[a] ? 0.5f * box_len_f_[a] : FLT_MAX;
+    }
+    const auto fold = [](float d, float l, float h) {
+      return d > h ? d - l : (d < -h ? d + l : d);
+    };
+    const float t2 = cache_.trigger2;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float dx = fold(px[i] - rx[i], len[0], half[0]);
+      const float dy = fold(py[i] - ry[i], len[1], half[1]);
+      const float dz = fold(pz[i] - rz[i], len[2], half[2]);
+      moved |= dx * dx + dy * dy + dz * dz > t2;
+    }
+    cache_.expired = moved;
+  }
+  if (cache_.expired) start_sieve_epoch();
+}
+
 void WseMd::begin_step(StepWorkspace& ws) const {
   telemetry::ScopedSpan span("wse.begin");
   const std::size_t n = positions_.size();
-  // Row capacity: every cell in the (2b+1)² neighborhood square except the
-  // center can hold an atom, plus the sieve's vector-store overshoot pad.
-  const auto span_cells = static_cast<std::size_t>(2 * b_ + 1);
-  ws.neighbor_stride = span_cells * span_cells - 1 + simd::kPadF32;
-  ws.neighbor_idx.resize(n * ws.neighbor_stride);
+  refresh_sieve_cache();
+  ws.neighbor_stride = cache_.stride;
+  ws.neighbor_idx.reserve_uninit(n * ws.neighbor_stride);
   ws.neighbor_count.assign(n, 0);
   ws.candidates.assign(n, 0);
   ws.pe_embed.assign(n, 0.0);
@@ -250,55 +415,61 @@ void WseMd::begin_step(StepWorkspace& ws) const {
 
 void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
   telemetry::ScopedSpan span("wse.density");
-  const auto rc2 = static_cast<float>(rcut_ * rcut_);
   const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
   eam::ProfileF32::Raw raw{};
   if (prof != nullptr) raw = prof->raw();
-  const float* px = positions_.x();
-  const float* py = positions_.y();
-  const float* pz = positions_.z();
-  // Function-local scratch (one per phase call) keeps sharded workers from
-  // racing: r2 is only needed transiently between the sieve and the density
-  // row — persisting it per atom would not fit at paper scale.
-  std::vector<std::uint32_t> gathered;
-  std::vector<float> r2_scratch(ws.neighbor_stride);
+  SieveScratch& s = sieve_scratch();
+  const std::size_t stride = cache_.stride;
+  std::uint64_t examined = 0;
   for (int cy = shard.y0; cy < shard.y1; ++cy) {
     for (int cx = shard.x0; cx < shard.x1; ++cx) {
       const long ai = mapping_.atom_at(cx, cy);
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
-      gather_neighborhood(cx, cy, gathered);
-      ws.candidates[i] = static_cast<std::uint32_t>(gathered.size());
-      std::uint32_t* row = ws.neighbor_idx.data() + i * ws.neighbor_stride;
+      std::uint32_t* cached = cache_.idx.data() + i * stride;
+      const std::uint32_t* cand = cached;
+      std::size_t nc = cache_.count[i];
+      if (cache_.epoch_of[i] != cache_.epoch) {
+        // First touch this epoch: gather the whole neighborhood once and
+        // keep what passes the skin sieve.
+        nc = sieve_skin_row(cx, cy, i, s);
+        cache_.count[i] = static_cast<std::uint32_t>(nc);
+        cache_.gathered[i] = static_cast<std::uint32_t>(s.gathered.size());
+        examined += s.gathered.size();
+        if (nc + simd::kPadF32 <= stride) {
+          std::memcpy(cached, s.skin.data(), nc * sizeof(std::uint32_t));
+          cache_.epoch_of[i] = cache_.epoch;
+        } else {
+          cand = s.skin.data();  // overflow: next begin_step grows
+        }
+      }
+      examined += nc;
+      ws.candidates[i] = cache_.gathered[i];
+      // Accepted ids are a subset of the candidates, so a row whose
+      // candidates fit the stride fits too; otherwise filter into scratch
+      // and keep the result only if it fits after all.
+      std::uint32_t* own = ws.neighbor_idx.data() + i * stride;
+      const bool fits = nc + simd::kPadF32 <= stride;
+      std::uint32_t* row = fits ? own : s.accepted.data();
       const Vec3f ri = positions_.get(i);
+      const std::size_t m = filter_row(ri, cand, nc, row, s.r2.data());
+      if (!fits && m + simd::kPadF32 <= stride) {
+        std::memcpy(own, row, m * sizeof(std::uint32_t));
+      }
+      ws.neighbor_count[i] = static_cast<std::uint32_t>(m);
       float rho = 0.0f;
-      if (prof != nullptr) {
-        // Batched sieve: 8-wide accept test, accepted indices compacted
-        // into the row; then one 8-wide table sweep over the survivors.
-        const std::size_t m =
-            kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, gathered.data(),
-                           gathered.size(), sbox_, rc2, row,
-                           r2_scratch.data());
-        ws.neighbor_count[i] = static_cast<std::uint32_t>(m);
-        if (!pairwise_only) {
-          rho = kern.rho_row_f32(raw, types_.data(), row, r2_scratch.data(),
-                                 m);
+      if (!pairwise_only) {
+        if (prof != nullptr) {
+          // One 8-wide table sweep over the survivors.
+          rho = kern.rho_row_f32(raw, types_.data(), row, s.r2.data(), m);
+        } else {
+          for (std::size_t k = 0; k < m; ++k) {
+            rho += static_cast<float>(potential_->density(
+                types_[row[k]], std::sqrt(static_cast<double>(s.r2[k]))));
+          }
         }
-      } else {
-        // Analytic path: per-candidate accept + direct potential calls.
-        std::uint32_t m = 0;
-        for (std::uint32_t j : gathered) {
-          const Vec3f d = minimum_image_f(ri, positions_.get(j));
-          const float r2 = dot(d, d);
-          if (r2 >= rc2) continue;
-          row[m++] = j;
-          if (pairwise_only) continue;  // phase 3 skipped for pair styles
-          rho += static_cast<float>(potential_->density(
-              types_[j], std::sqrt(static_cast<double>(r2))));
-        }
-        ws.neighbor_count[i] = m;
       }
       if (pairwise_only) {
         ws.pe_embed[i] = 0.0;
@@ -315,6 +486,7 @@ void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
       }
     }
   }
+  telemetry::count("wse.host_examined", examined);
 }
 
 void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
@@ -340,7 +512,16 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
       const int ti = types_[i];
       const std::uint32_t* row =
           ws.neighbor_idx.data() + i * ws.neighbor_stride;
-      const std::uint32_t m = ws.neighbor_count[i];
+      std::uint32_t m = ws.neighbor_count[i];
+      if (m + simd::kPadF32 > ws.neighbor_stride) {
+        // Overflow row: the density phase could not store its accepted
+        // ids; derive them again exactly as it did.
+        SieveScratch& s = sieve_scratch();
+        const std::size_t nc = sieve_skin_row(cx, cy, i, s);
+        m = static_cast<std::uint32_t>(filter_row(
+            ri, s.skin.data(), nc, s.accepted.data(), s.r2.data()));
+        row = s.accepted.data();
+      }
       Vec3f force{0, 0, 0};
       float pair_acc = 0.0f;
       if (prof != nullptr) {
@@ -471,6 +652,8 @@ std::size_t WseMd::swap_commit(const std::vector<int>& partner) {
       ++applied;
     }
   }
+  // Candidate order follows the mapping: moved atoms expire the cache.
+  if (applied > 0) cache_.expired = true;
   return applied;
 }
 
@@ -505,12 +688,13 @@ WseStepStats WseMd::reduce_region(const ShardRect& shard,
 void WseMd::begin_step_region(StepWorkspace& ws) const {
   telemetry::ScopedSpan span("wse.begin");
   const std::size_t n = positions_.size();
-  const auto span_cells = static_cast<std::size_t>(2 * b_ + 1);
-  ws.neighbor_stride = span_cells * span_cells - 1 + simd::kPadF32;
-  // resize (not assign): slots outside the caller's regions keep stale
-  // values nobody reads; slots inside are written by the phases before any
-  // read. This keeps the per-rank begin cost O(region), not O(N).
-  ws.neighbor_idx.resize(n * ws.neighbor_stride);
+  refresh_sieve_cache();
+  ws.neighbor_stride = cache_.stride;
+  // Uninitialized rows and resize (not assign) of the per-atom arrays:
+  // slots outside the caller's regions keep stale values nobody reads;
+  // slots inside are written by the phases before any read. The rows a
+  // rank never builds are never touched.
+  ws.neighbor_idx.reserve_uninit(n * ws.neighbor_stride);
   ws.neighbor_count.resize(n);
   ws.candidates.resize(n);
   ws.pe_embed.resize(n);
@@ -659,6 +843,7 @@ void WseMd::scramble_mapping(Rng& rng, int count) {
     const int y2 = std::min(h - 1, y1 + static_cast<int>(rng.uniform_index(3)));
     mapping_.swap_atoms({x1, y1}, {x2, y2});
   }
+  cache_.expired = true;
 }
 
 double WseMd::assignment_cost() const {

@@ -88,6 +88,29 @@ struct ShardRect {
   bool empty() const { return x1 <= x0 || y1 <= y0; }
 };
 
+/// Heap array whose elements start uninitialized. A rank process touches
+/// only the rows of its own strip (plus ghost rows), so the pages of the
+/// other rows are never faulted in; std::vector's value-initializing
+/// resize would zero-fill — and commit — all of them in every rank.
+template <typename T>
+class RawArray {
+ public:
+  T* data() { return data_.get(); }
+  const T* data() const { return data_.get(); }
+  /// Keep the storage when it already holds `n` elements; otherwise free
+  /// it before allocating the new block (contents are not preserved).
+  void reserve_uninit(std::size_t n) {
+    if (n <= size_) return;
+    data_.reset();
+    data_.reset(new T[n]);
+    size_ = n;
+  }
+
+ private:
+  std::unique_ptr<T[]> data_;
+  std::size_t size_ = 0;
+};
+
 /// Reusable per-step buffers for the phase kernels. Every array is indexed
 /// by atom id except `partner` (indexed by core id, used by the atom-swap
 /// phase). Each atom is owned by exactly one core, so kernels running on
@@ -96,14 +119,20 @@ struct ShardRect {
 struct StepWorkspace {
   // Phase 1-3 outputs. The accepted-neighbor lists live in one flat
   // fixed-stride buffer (row i at neighbor_idx[i * neighbor_stride], length
-  // neighbor_count[i]): the SIMD sieve compacts straight into the row, and
-  // the per-step allocation churn of nested vectors is gone. Only indices
-  // are stored — at paper scale (800k atoms) caching per-neighbor
-  // displacements would cost gigabytes, so the force phase re-gathers.
-  std::vector<std::uint32_t> neighbor_idx;    ///< accepted candidates, flat
+  // neighbor_count[i]) whose stride is the sieve cache's (see WseMd): a row
+  // accepts a subset of its cached candidates, so it fits whenever the
+  // cached row did. A row that overflowed the cache at its build may not
+  // fit; its count then exceeds neighbor_stride - kPadF32 and force_phase
+  // re-derives it. Only indices are stored — at paper scale (800k atoms)
+  // caching per-neighbor displacements would cost gigabytes, so the force
+  // phase re-gathers.
+  RawArray<std::uint32_t> neighbor_idx;       ///< accepted candidates, flat
   std::vector<std::uint32_t> neighbor_count;  ///< accepted per atom
   std::size_t neighbor_stride = 0;            ///< row capacity (incl. pad)
-  std::vector<std::uint32_t> candidates;      ///< gathered per worker
+  /// Modeled candidates per worker: the atoms of its whole (2b+1)^2
+  /// neighborhood, what the wafer multicasts and filters every step —
+  /// not the shorter cached list the host filters.
+  std::vector<std::uint32_t> candidates;
   std::vector<double> pe_embed;               ///< F(rho_i) per atom
   // Phase 4 outputs.
   std::vector<float> pair_half;   ///< sum_j phi_ij before the 1/2 factor
@@ -204,11 +233,49 @@ class WseMd {
   /// The whole grid as one region (the serial decomposition).
   ShardRect full_grid() const;
 
-  /// Size workspace buffers and seed new_positions/new_velocities.
+  /// Size workspace buffers and seed new_positions/new_velocities; expire
+  /// the sieve cache when its trigger fires (see below).
   void begin_step(StepWorkspace& ws) const;
 
   /// Phases 1-3: candidate exchange, neighbor list, embedding density;
   /// publishes fprime_ for the region's atoms.
+  ///
+  /// The wafer filters every candidate of the (2b+1)^2 neighborhood every
+  /// step; the host filters a per-core sieve cache instead. Row i of the
+  /// cache holds, in candidate-arrival order, the gathered candidates that
+  /// passed the same sieve kernel at (rcut + kSieveSkin)^2 against the
+  /// positions of the last build, plus the geometric count
+  /// (ws.candidates, the modeled figure). Each step filters only the
+  /// cached row at rcut^2 — sieve_f32 on the tabulated path, the
+  /// per-candidate minimum_image_f test on the analytic path.
+  ///
+  /// Bitwise argument: the accept test is element-wise, so sieving an
+  /// ordered superset of the accepted candidates yields the same ids in
+  /// the same order with bitwise the same r^2 as sieving the whole
+  /// neighborhood — the density/force sums, trajectories, thermo and
+  /// checkpoints cannot change. The cache is a superset while no atom has
+  /// moved more than skin/2 since the build: a pair at r >= rcut + skin
+  /// then stays at r > rcut. begin_step expires the cache as soon as any
+  /// atom's FP32 minimum-image displacement exceeds skin/2 minus an FP32
+  /// margin of 8 FLT_EPSILON (M + skin + 2 (rcut + skin)), M the largest
+  /// |coordinate| or periodic box length at the build, which bounds the
+  /// rounding of the two sieves' and the displacement's subtractions
+  /// (1e-4 A for a 100 A box). A swap that moved an atom, scramble_mapping,
+  /// set_positions and restore_state (mapping or b changed) expire it too.
+  /// Rows are rebuilt lazily, inside the density phase of the region that
+  /// owns them, so shards and ranks rebuild in parallel and may expire at
+  /// different steps without any effect on the results.
+  ///
+  /// Storage: rows are keyed by atom id at a stride of the largest cached
+  /// row seen + kPadF32 (rounded up to the lane width; the first build
+  /// sizes it from a sample of cores). A row that does not fit is filtered
+  /// from scratch that step and the next begin_step grows the stride and
+  /// rebuilds. Per atom: 2 x 4 bytes x stride (cache row + accepted row)
+  /// plus 24 bytes of counts, build epoch and reference position. For the
+  /// Cu slab at 290 K (rcut 4.96 A; the 54 atoms out to the 4th shell at
+  /// 5.11 A sit inside the skin) the stride settles at 64-72, ~600 bytes
+  /// per atom, against 1.2 kB for the one full (2b+1)^2-1+pad = 296-id
+  /// row the accepted list needed at b = 8 before the cache.
   void density_phase(const ShardRect& shard, StepWorkspace& ws);
 
   /// Phase 4: force evaluation + leap-frog integration into the workspace
@@ -242,9 +309,14 @@ class WseMd {
   /// only what a region step defines.
 
   /// Size the workspace buffers without seeding them from the full current
-  /// state (no O(N) copies or fills). Every slot the phase kernels read for
-  /// a region atom is written earlier in the same step, so undefined slots
-  /// outside the caller's regions are never observed.
+  /// state (no O(N) copies of the atom state). Every slot the phase
+  /// kernels read for a region atom is written earlier in the same step,
+  /// so undefined slots outside the caller's regions are never observed.
+  /// The row buffers are allocated uninitialized, so a rank commits only
+  /// the pages of the rows it builds. The sieve-cache trigger still scans
+  /// all N positions (three floats per atom; atoms the rank never receives
+  /// keep their stale positions and never fire it), and an expiry copies
+  /// them as the new reference.
   void begin_step_region(StepWorkspace& ws) const;
 
   /// Partial FP64 energy sums over one region, each accumulated in
@@ -309,6 +381,23 @@ class WseMd {
   /// it is the value reduced by the last commit.
   double potential_energy() const;
 
+  /// True while potential_energy() would run its lazy serial evaluation
+  /// (after construction or set_positions).
+  bool energy_pending() const { return !pe_current_; }
+
+  /// Adopt the energy of the current positions from a workspace whose
+  /// begin_step, density and force phases just covered the whole grid —
+  /// the same row-major reduction as the lazy evaluation, so a backend can
+  /// run those phases in parallel and get the bitwise same value.
+  void adopt_energy(const StepWorkspace& ws);
+
+  /// Sieve-cache skin (A). An internal constant picked by measurement:
+  /// wider skins expire less often but cache and filter more ids per row.
+  static constexpr double kSieveSkin = 0.5;
+
+  /// Sieve-cache builds since construction (every expiry counts one).
+  std::uint64_t sieve_cache_builds() const { return cache_.builds; }
+
   /// Kinetic energy of the current (half-step) velocities (eV).
   double kinetic_energy() const;
 
@@ -365,6 +454,27 @@ class WseMd {
   /// commit_step and the construction-time energy evaluation).
   double reduce_potential_energy(const StepWorkspace& ws) const;
 
+  /// Per-thread scratch of the sieve-cache kernels.
+  struct SieveScratch;
+  SieveScratch& sieve_scratch() const;
+  /// begin_step's cache upkeep: grow the stride after an overflowing row,
+  /// expire on the displacement trigger, start a new build epoch.
+  void refresh_sieve_cache() const;
+  /// Start a build epoch: new reference positions and trigger threshold;
+  /// the first build also sizes the stride.
+  void start_sieve_epoch() const;
+  /// Sample-based first stride (largest cached row among ~1k cores).
+  std::size_t estimate_sieve_stride() const;
+  /// Gather core (cx, cy)'s neighborhood and sieve it at the skin radius
+  /// against the reference positions into s.skin. Returns the count.
+  std::size_t sieve_skin_row(int cx, int cy, std::size_t i,
+                             SieveScratch& s) const;
+  /// The per-step accept test at rcut^2 over a candidate list: survivors
+  /// (ids and r^2) compacted in order into out / r2 (capacity count + pad).
+  std::size_t filter_row(const Vec3f& ri, const std::uint32_t* cand,
+                         std::size_t count, std::uint32_t* out,
+                         float* r2) const;
+
   WseMdConfig config_;
   eam::EamPotentialPtr potential_;
   eam::ProfileF32Ptr profile_;  ///< set when config_.tabulated
@@ -395,6 +505,22 @@ class WseMd {
   long step_count_ = 0;
   double elapsed_seconds_ = 0.0;
   CumulativeStats cum_;
+
+  /// The sieve cache (see density_phase). Mutable like ws_: the lazy
+  /// energy evaluation fills it from a const context.
+  struct SieveCache {
+    RawArray<std::uint32_t> idx;        ///< row i at idx[i * stride]
+    std::vector<std::uint32_t> count;   ///< cached ids per row
+    std::vector<std::uint32_t> gathered;  ///< geometric candidates per row
+    std::vector<std::uint32_t> epoch_of;  ///< epoch each row was built in
+    Vec3fPlanes ref;                    ///< positions at the epoch start
+    std::size_t stride = 0;             ///< 0 until the first build
+    std::uint32_t epoch = 0;            ///< rows with epoch_of != epoch rebuild
+    bool expired = true;
+    float trigger2 = 0.0f;  ///< (skin/2 - FP32 margin)^2, < 0 = always
+    std::uint64_t builds = 0;
+  };
+  mutable SieveCache cache_;
 
   /// Workspace reused by the serial step()/run() path and the lazy initial
   /// energy evaluation (engine backends own their own and drive the phase

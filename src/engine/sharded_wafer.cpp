@@ -36,6 +36,19 @@ ShardedWafer::ShardedWafer(const lattice::Structure& s,
                              md_.mapping().grid_height(), pool_.size());
   shard_stats_.resize(shards_.size());
   cum_load_.resize(shards_.size());
+  settle_energy();
+}
+
+void ShardedWafer::settle_energy() {
+  if (!md_.energy_pending()) return;
+  md_.begin_step(ws_);
+  pool_.run([&](int t) {
+    md_.density_phase(shards_[static_cast<std::size_t>(t)], ws_);
+  });
+  pool_.run([&](int t) {
+    md_.force_phase(shards_[static_cast<std::size_t>(t)], ws_);
+  });
+  md_.adopt_energy(ws_);
 }
 
 void ShardedWafer::run_sharded(const std::function<void(int)>& task) {

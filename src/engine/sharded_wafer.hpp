@@ -72,6 +72,12 @@ class ShardedWafer final : public WaferEngine {
   /// snapshot stream's imbalance rows.
   std::vector<ShardLoad> shard_load() const override { return cum_load_; }
 
+ protected:
+  /// Initial (and post-set_positions) energy on the shard pool: the same
+  /// phases and serial row-major reduction as the lazy serial evaluation,
+  /// so the value is bitwise the same.
+  void settle_energy() override;
+
  private:
   /// pool_.run with telemetry: times each worker's busy span and folds the
   /// round's aggregate barrier wait (round wall time minus per-worker busy

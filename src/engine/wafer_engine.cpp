@@ -56,6 +56,7 @@ void WaferEngine::restore(const State& state) {
                      << ")");
     md_.set_positions(state.positions);
     md_.set_velocities(state.velocities);
+    settle_energy();
     core::WseMd::SavedState partial = md_.save_state();
     partial.step = state.step;
     partial.elapsed_seconds = 0.0;

@@ -38,6 +38,7 @@ class WaferEngine : public Engine {
   }
   void set_positions(const std::vector<Vec3d>& r) override {
     md_.set_positions(r);
+    settle_energy();
   }
   State snapshot() const override;
   void restore(const State& state) override;
@@ -49,6 +50,12 @@ class WaferEngine : public Engine {
   Thermo thermo() const override;
 
  protected:
+  /// Evaluate the potential energy of a configuration whose energy is
+  /// pending (construction, set_positions, a reference-state restore).
+  /// The serial engine leaves it to WseMd's lazy evaluation; ShardedWafer
+  /// runs the phases on its shard pool instead.
+  virtual void settle_energy() {}
+
   core::WseMd md_;
   core::WseStepStats last_;
 };

@@ -843,6 +843,14 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
   finalize_exports();
 
   if (!result.summary_path.empty()) {
+    // Throughput counts the steps *this process* executed: a resumed run
+    // only stepped the post-checkpoint remainder, and crediting it the
+    // full schedule would fabricate a speedup in the trend tooling the
+    // BENCH envelope feeds.
+    const double steps_per_s =
+        result.wall_seconds > 0.0
+            ? static_cast<double>(steps_executed) / result.wall_seconds
+            : 0.0;
     BenchJson summary("scenario_" + sc.name);
     summary.meta()
         .set("scenario", sc.name)
@@ -856,15 +864,11 @@ ScenarioResult run_impl(const Scenario& sc, const RunOptions& opt,
         .set("seed", static_cast<long long>(sc.seed))
         .set("total_steps", static_cast<long long>(result.total_steps))
         .set("wall_seconds", result.wall_seconds)
-        // Throughput counts the steps *this process* executed: a resumed
-        // run only stepped the post-checkpoint remainder, and crediting
-        // it the full schedule would fabricate a speedup in the trend
-        // tooling the BENCH envelope feeds.
         .set("steps_executed", static_cast<long long>(steps_executed))
-        .set("steps_per_s", result.wall_seconds > 0.0
-                                ? static_cast<double>(steps_executed) /
-                                      result.wall_seconds
-                                : 0.0)
+        .set("steps_per_s", steps_per_s)
+        // The host rate in the paper's units (dt in ps; as the progress
+        // heartbeat reports it).
+        .set("ns_per_day", steps_per_s * sc.dt * 1e-3 * 86400.0)
         .set("final_total_eV", result.final_thermo.total_energy)
         .set("final_temperature_K", result.final_thermo.temperature)
         .set("xyz_frames", result.xyz_frames)

@@ -91,6 +91,27 @@ TEST_P(ThreadParity, BitwiseMatchesSerialOver100Steps) {
   EXPECT_EQ(serial_stats.mean_interactions, sharded_stats.mean_interactions);
 }
 
+TEST_P(ThreadParity, PoolEnergyMatchesSerialLazyEnergy) {
+  // The sharded backend evaluates the initial and post-set_positions
+  // energies on its pool; the serial engine's lazy evaluation is the
+  // reference, bitwise.
+  Fixture f;
+  core::WseMd serial(f.structure, f.potential, f.config());
+  ShardedWaferConfig scfg;
+  scfg.wse = f.config();
+  scfg.threads = GetParam();
+  ShardedWafer sharded(f.structure, f.potential, scfg);
+  EXPECT_EQ(sharded.thermo().potential_energy, serial.potential_energy());
+
+  auto r = serial.positions();
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i].x += 0.01 * static_cast<double>(i % 7);
+  }
+  serial.set_positions(r);
+  sharded.set_positions(r);
+  EXPECT_EQ(sharded.thermo().potential_energy, serial.potential_energy());
+}
+
 TEST_P(ThreadParity, ScrambleAndSwapRecoveryMatchesSerial) {
   // Fig. 9 protocol: sub-optimal initial mapping, online swaps every step.
   // The swap phases (parallel select, serial mutual commit) must make the
